@@ -39,6 +39,7 @@ __all__ = [
     "LabelGroups",
     "group_label_weights",
     "group_from_gather",
+    "segmented_argmax",
     "seg_bounds",
     "kernel_module",
 ]
@@ -115,7 +116,7 @@ class SweepPlan:
     the simulation.
     """
 
-    __slots__ = ("order", "seg", "nbrs", "ws", "bounds", "_cache", "_inv")
+    __slots__ = ("order", "seg", "nbrs", "ws", "bounds", "inv", "_cache")
 
     def __init__(self, cache: NeighborhoodCache, order: np.ndarray) -> None:
         order = np.asarray(order, dtype=np.int64)
@@ -130,7 +131,7 @@ class SweepPlan:
         # order, so a contiguous slice is identified by its first value).
         inv = np.zeros(cache.indptr.size - 1, dtype=np.int64)
         inv[order] = np.arange(order.size, dtype=np.int64)
-        self._inv = inv
+        self.inv = inv
 
     def offset(self, chunk: np.ndarray) -> int:
         """Start position of ``chunk`` within the order, or -1.
@@ -144,7 +145,7 @@ class SweepPlan:
             and chunk.strides == self.order.strides
             and chunk.size
         ):
-            return self._inv[chunk[0]]
+            return self.inv[chunk[0]]
         return -1
 
     def block_at(
@@ -230,17 +231,6 @@ class LabelGroups(NamedTuple):
         out[self.gseg[rows]] = self.gw[rows]
         return out
 
-    def rows_at_current(self, current: np.ndarray) -> np.ndarray:
-        """Boolean row mask: group rows whose label is the segment's current.
-
-        ``current`` is indexed positionally (``current[gseg]``); callers
-        that need both the weight-to-current vector and the set of
-        self-candidate rows compute this mask once.
-        """
-        if self.gseg.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self.glab == current[self.gseg]
-
     def argmax_per_segment(
         self, chunk_size: int, score: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,26 +245,10 @@ class LabelGroups(NamedTuple):
         if self.gseg.size == 0:
             return has, best_lab, best_score
         s = self.gw if score is None else np.asarray(score, dtype=np.float64)
-        gseg = self.gseg
-        # Rows are sorted by (gseg, glab): each segment is one contiguous
-        # run. A segmented max (np.maximum.reduceat) plus "last row equal
-        # to its run's max" replaces the lexsort — np.maximum returns one
-        # of its operands bit-for-bit, so the equality test is exact, and
-        # taking the *last* qualifying row of a run tie-breaks toward the
-        # larger label (rows are label-ascending within a run).
-        run_start = np.empty(gseg.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(gseg[1:], gseg[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        run_max = np.maximum.reduceat(s, starts)
-        run_idx = np.cumsum(run_start) - 1
-        at_max = np.flatnonzero(s == run_max[run_idx])
-        seg_at = gseg[at_max]
-        is_last = np.empty(seg_at.size, dtype=bool)
-        is_last[-1] = True
-        np.not_equal(seg_at[1:], seg_at[:-1], out=is_last[:-1])
-        rows = at_max[is_last]
-        segs = gseg[rows]
+        # Rows are label-ascending within a segment, so the last row tied
+        # at the maximum is the largest label.
+        rows = segmented_argmax(self.gseg, s, last=True)
+        segs = self.gseg[rows]
         has[segs] = True
         best_lab[segs] = self.glab[rows]
         best_score[segs] = s[rows]
@@ -331,6 +305,34 @@ def group_from_gather(
     starts = np.flatnonzero(boundary)
     gw = np.add.reduceat(ws[order], starts)
     return LabelGroups(seg_s[starts], labs_s[starts], gw)
+
+
+def segmented_argmax(seg: np.ndarray, score: np.ndarray, last: bool) -> np.ndarray:
+    """Row index of each segment's maximal ``score``, segments ascending.
+
+    ``seg`` is non-empty and non-decreasing, so every segment is one
+    contiguous run of rows. Among rows tied at a run's maximum the
+    *last* one wins (``last``) or else the first; callers keep rows
+    label-ascending within a run, which makes this the larger- or
+    smaller-label tie-break. A segmented max (``np.maximum.reduceat``)
+    plus "rows equal to their run's max" replaces a sort, and
+    ``np.maximum`` returns one of its operands bit-for-bit, so the
+    equality probe is exact.
+    """
+    run_start = np.empty(seg.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(seg[1:], seg[:-1], out=run_start[1:])
+    run_max = np.maximum.reduceat(score, run_start.nonzero()[0])
+    at_max = (score == run_max[np.cumsum(run_start) - 1]).nonzero()[0]
+    seg_at = seg[at_max]
+    pick = np.empty(seg_at.size, dtype=bool)
+    if last:
+        pick[-1] = True
+        np.not_equal(seg_at[1:], seg_at[:-1], out=pick[:-1])
+    else:
+        pick[0] = True
+        np.not_equal(seg_at[1:], seg_at[:-1], out=pick[1:])
+    return at_max[pick]
 
 
 def seg_bounds(seg: np.ndarray, size: int) -> np.ndarray:

@@ -264,8 +264,8 @@ def plm_decide_block(
     for every backend). ``denom`` is the precomputed ``2.0 * omega *
     omega`` of the gain's volume term.
 
-    The gain formula replicates ``PLM._move_phase``'s ``decide`` term by
-    term: ``(gw - w_cur) / omega + gamma * vol_u * (vol(C\\u) - vol(D)) /
+    The gain formula replicates :func:`repro.community._moves.best_moves`
+    term by term: ``(gw - w_cur) / omega + gamma * vol_u * (vol(C\\u) - vol(D)) /
     denom``, evaluated with the identical association, on the per-label
     sums accumulated in adjacency order (== the stable-sort ``reduceat``
     order). The own-community label is skipped: its weight term is

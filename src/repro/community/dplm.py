@@ -166,7 +166,6 @@ class DynamicPLM(PLM):
             "dirty_fraction": dirty_fraction,
             "dirty_communities": int(dirty_comms.size),
         }
-        self._spec_counters = {}
         labels = prev.copy()
         # Dissolve the dirty region to singletons; the frozen remainder
         # keeps its (min-member) labels and full volume in the shared
@@ -190,7 +189,6 @@ class DynamicPLM(PLM):
                 )
                 info["refine_sweeps_per_level"].append(refine_sweeps)
         info["levels"] = len(info["sweeps_per_level"])
-        info["speculation"] = dict(self._spec_counters)
         self._labels = labels.copy()
         timing = runtime.report_since(snap)
         return DetectionResult(Partition(labels), timing, info)

@@ -40,7 +40,7 @@ from repro.community._kernels import (
     gather_neighborhoods,
     neighborhood_cache,
 )
-from repro.community._moves import best_sync_moves
+from repro.community._moves import apply_transfers, best_moves
 from repro.community.base import CommunityDetector
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
@@ -234,16 +234,13 @@ class Grappolo(CommunityDetector):
             # run machine-verifies the coloring argument.
             labels = rc.track(labels, "grappolo.labels")
             comm_vol = rc.track(comm_vol, "grappolo.comm_vol")
-        state: dict[str, int] = {"moves": 0}
         pending: list[tuple[np.ndarray, ...]] = []
 
         def kernel(chunk: np.ndarray):
             seg, nbrs, ws = cache.gather(chunk)
-            if seg.size == 0:
-                return None
-            decision = best_sync_moves(
-                chunk, seg, nbrs, ws, labels, comm_vol,
-                volumes[chunk], omega, gamma, n,
+            decision = best_moves(
+                seg * n, labels[nbrs], ws, labels[chunk], volumes[chunk],
+                comm_vol, omega, gamma, n,
             )
             if decision is None:
                 return None
@@ -260,7 +257,6 @@ class Grappolo(CommunityDetector):
             # so in-commit writes are safe; volume transfers wait for the
             # class barrier to keep float accumulation order fixed.
             labels[nodes] = dst
-            state["moves"] += int(nodes.size)
             pending.append((nodes, src, dst, vol))
 
         classes = [
@@ -278,8 +274,6 @@ class Grappolo(CommunityDetector):
                 for cls in classes:
                     if cls.size == 0:
                         continue
-                    state["moves"] = 0
-                    pending.clear()
                     grain = max(
                         1, min(32, cls.size // (runtime.threads * 8))
                     )
@@ -293,18 +287,7 @@ class Grappolo(CommunityDetector):
                         memory_bound=0.45,
                         loop="grappolo.move",
                     )
-                    if pending:
-                        # Class barrier: apply all volume transfers in
-                        # node-id order — commit arrival order depends on
-                        # the schedule, node ids do not.
-                        nodes = np.concatenate([p[0] for p in pending])
-                        src = np.concatenate([p[1] for p in pending])
-                        dst = np.concatenate([p[2] for p in pending])
-                        vol = np.concatenate([p[3] for p in pending])
-                        order = np.argsort(nodes)
-                        np.subtract.at(comm_vol, src[order], vol[order])
-                        np.add.at(comm_vol, dst[order], vol[order])
-                    sweep_moves += state["moves"]
+                    sweep_moves += apply_transfers(comm_vol, pending)  # barrier
                 sweeps += 1
                 if sweep_moves == 0:
                     break

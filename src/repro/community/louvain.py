@@ -14,7 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import group_from_gather, neighborhood_cache
+from repro.community._kernels import neighborhood_cache
+from repro.community._moves import best_moves
 from repro.community.base import CommunityDetector
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
@@ -181,14 +182,15 @@ class Louvain(CommunityDetector):
 
         Nodes are processed in the same permuted order as the scalar
         sweep, in blocks of ``_SWEEP_BLOCK``. Each block's best-move
-        proposals are computed in one fused group-by against the state
-        frozen at block start; the commit pass walks the block in order
-        and accepts a proposal only if nothing it depends on — a
-        neighbor's label, the node's community volume, or any candidate
-        community's volume — changed earlier in the block. Invalidated
-        nodes fall back to the exact scalar evaluation against live
-        state, so the accepted moves (and the floats behind them) are
-        bit-for-bit those of the scalar sweep.
+        proposals come from one :func:`~repro.community._moves.best_moves`
+        call against the state frozen at block start (ties toward the
+        smaller label, like ``np.argmax`` in the scalar body); the commit
+        pass walks the block in order and accepts a proposal only if
+        nothing it depends on — a neighbor's label, the node's community
+        volume, or any candidate community's volume — changed earlier in
+        the block. Invalidated nodes fall back to the exact scalar
+        evaluation against live state, so the accepted moves (and the
+        floats behind them) are bit-for-bit those of the scalar sweep.
         """
         n = graph.n
         omega = graph.total_edge_weight
@@ -196,13 +198,9 @@ class Louvain(CommunityDetector):
             return False, 0
         volumes = graph.volumes()
         degrees = graph.degrees()
-        comm_vol = np.bincount(labels, weights=volumes, minlength=n).astype(
-            np.float64
-        )
-        gamma = self.gamma
+        comm_vol = np.bincount(labels, weights=volumes, minlength=n)
         cache = neighborhood_cache(graph)
         c_indptr, c_counts = cache.indptr, cache.counts
-        two_omega_sq = 2 * omega**2
 
         moved_in_block = np.zeros(n, dtype=bool)
         vol_touched = np.zeros(n, dtype=bool)
@@ -218,48 +216,13 @@ class Louvain(CommunityDetector):
                 chunk = order[lo : lo + _SWEEP_BLOCK]
                 seg, nbrs, ws = cache.gather(chunk)
                 cur = labels[chunk]
-                if seg.size:
-                    groups = group_from_gather(seg, labels[nbrs], ws, width=n)
-                    gseg, glab, gw = groups.gseg, groups.glab, groups.gw
-                    w_cur = groups.weight_to_label(chunk.size, cur)
-                    vol_u = volumes[chunk]
-                    vol_c_wo_u = comm_vol[cur] - vol_u
-                    delta = (gw - w_cur[gseg]) / omega + (
-                        gamma
-                        * vol_u[gseg]
-                        * (vol_c_wo_u[gseg] - comm_vol[glab])
-                        / two_omega_sq
-                    )
-                    delta[glab == cur[gseg]] = -np.inf
-                    # Segmented first-argmax: np.argmax takes the first
-                    # maximal entry, and glab ascends within a segment, so
-                    # "first row equal to its run max" is the scalar pick.
-                    run_start = np.empty(gseg.size, dtype=bool)
-                    run_start[0] = True
-                    np.not_equal(gseg[1:], gseg[:-1], out=run_start[1:])
-                    starts = np.flatnonzero(run_start)
-                    run_max = np.maximum.reduceat(delta, starts)
-                    run_idx = np.cumsum(run_start) - 1
-                    at_max = np.flatnonzero(delta == run_max[run_idx])
-                    seg_at = gseg[at_max]
-                    is_first = np.empty(seg_at.size, dtype=bool)
-                    np.not_equal(seg_at[1:], seg_at[:-1], out=is_first[1:])
-                    is_first[0] = True
-                    rows = at_max[is_first]
-                    prop_has = np.zeros(chunk.size, dtype=bool)
-                    prop_dst = np.zeros(chunk.size, dtype=np.int64)
-                    prop_delta = np.zeros(chunk.size, dtype=np.float64)
-                    prop_has[gseg[rows]] = True
-                    prop_dst[gseg[rows]] = glab[rows]
-                    prop_delta[gseg[rows]] = delta[rows]
-                    # Per-segment group-row ranges for the candidate-
-                    # community validity probe during commit.
-                    g_lo = np.searchsorted(gseg, np.arange(chunk.size))
-                    g_hi = np.searchsorted(
-                        gseg, np.arange(chunk.size), side="right"
-                    )
-                else:
-                    prop_has = np.zeros(chunk.size, dtype=bool)
+                proposal = np.full(chunk.size, -1, dtype=np.int64)
+                decision = best_moves(
+                    seg * n, labels[nbrs], ws, cur, volumes[chunk], comm_vol,
+                    omega, self.gamma, n,
+                )
+                if decision is not None:
+                    proposal[decision[0]] = decision[1]
 
                 touched_nodes: list[int] = []
                 touched_comms: list[int] = []
@@ -271,15 +234,17 @@ class Louvain(CommunityDetector):
                         continue
                     cu = int(cur[j])
                     nb = cache.indices[c_indptr[u] : c_indptr[u + 1]]
+                    # With no neighbor moved yet, labels[nb] are still the
+                    # block-start labels: u's candidate communities.
                     valid = (
                         not moved_in_block[nb].any()
                         and not vol_touched[cu]
-                        and not vol_touched[glab[g_lo[j] : g_hi[j]]].any()
+                        and not vol_touched[labels[nb]].any()
                     )
                     if valid:
-                        if not prop_has[j] or prop_delta[j] <= 1e-15:
+                        dst = int(proposal[j])
+                        if dst < 0:
                             continue
-                        dst = int(prop_dst[j])
                         vu = volumes[u]
                         labels[u] = dst
                         comm_vol[cu] -= vu

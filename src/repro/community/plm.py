@@ -35,11 +35,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import (
-    kernel_module,
-    neighborhood_cache,
-    seg_bounds,
-)
+from repro.community._kernels import kernel_module, neighborhood_cache
+from repro.community._moves import best_moves
 from repro.community.backends import (
     resolve_kernel_backend,
     validate_kernel_backend,
@@ -74,11 +71,6 @@ class PLM(CommunityDetector):
     seed:
         Tie-breaking seed (kept for API symmetry; PLM itself is
         deterministic given the runtime interleaving).
-    speculate:
-        Enable the whole-sweep speculation fast path on quiet sweeps
-        (default on; results are bit-identical either way — the A/B flag
-        exists so tests can prove it, see ``info["speculation"]`` for the
-        per-run validated/invalidated block counts).
     audit_modularity:
         Recompute full modularity after every sweep and record
         ``abs(incremental - full)`` in ``modularity_audit`` (testing hook;
@@ -103,7 +95,6 @@ class PLM(CommunityDetector):
         schedule: str = "guided",
         seed: int = 0,
         audit_modularity: bool = False,
-        speculate: bool = True,
         kernel_backend: str | None = None,
     ) -> None:
         super().__init__(threads=threads)
@@ -119,10 +110,6 @@ class PLM(CommunityDetector):
         self.schedule = schedule
         self.seed = seed
         self.audit_modularity = audit_modularity
-        self.speculate = speculate
-        #: speculation telemetry of the most recent run (also published as
-        #: ``info["speculation"]`` on the result).
-        self._spec_counters: dict[str, int] = {}
         #: abs(incremental - full) per audited sweep (see audit_modularity).
         self.modularity_audit: list[float] = []
         if refine:
@@ -147,28 +134,13 @@ class PLM(CommunityDetector):
         communities. ``mask=None`` is bit-identical to the historical
         unrestricted sweep.
 
-        Host-speed engineering (the simulated schedule, costs and commit
-        sequence are bit-identical to the straightforward version):
-
-        * neighborhoods of the whole sweep order are pre-gathered once
-          (:class:`~repro.community._kernels.SweepPlan`); grain blocks
-          slice flat arrays instead of rebuilding index arithmetic;
-        * when the previous sweep moved almost nothing (near convergence),
-          the whole sweep's move decisions are *speculated* in one
-          vectorized pass over the
-          sweep-start state (``decide`` on the full order — the same code
-          path the per-block kernel runs, so the float operation tree is
-          identical by construction). A block accepts its speculated
-          decision only if none of its input communities changed since
-          the sweep started (``comm_dirty`` check, exact: commits mark
-          their source/destination communities, and a moved neighbor's
-          sweep-start label is its source, so any input drift is caught);
-          otherwise it re-evaluates against live state as usual. Most
-          blocks in a quiet sweep validate, turning ~50 NumPy calls into
-          ~10;
-        * modularity is tracked incrementally across sweeps from the moved
-          nodes' neighborhoods instead of an O(m) recomputation per sweep
-          (see ``audit_modularity`` for the invariant hook).
+        Each grain block asks :func:`~repro.community._moves.best_moves`
+        (or its compiled twin) for its nodes' best moves against the
+        *live* shared state, ties toward the larger label; blocks still in
+        simulated flight are invisible to it (stale reads). For host speed
+        the sweep order's neighborhoods and the key part ``plan.seg * n``
+        are built once per sweep and sliced per block, and modularity is
+        tracked incrementally (see ``audit_modularity``).
         """
         n = graph.n
         omega = graph.total_edge_weight
@@ -179,15 +151,9 @@ class PLM(CommunityDetector):
         cache = neighborhood_cache(graph)
         # Shared community-volume and size arrays (indexed by label id;
         # labels are 0..n-1 at most since they start as node ids/compacted).
-        comm_vol = np.bincount(labels, weights=volumes, minlength=n).astype(
-            np.float64
-        )
+        comm_vol = np.bincount(labels, weights=volumes, minlength=n)
         comm_size = np.bincount(labels, minlength=n).astype(np.int64)
         gamma = self.gamma
-        state: dict[str, Any] = {"moves": 0, "spec": None, "spec_dirty": False}
-        # Communities whose volume/size changed since sweep start (only
-        # maintained while a speculation is active).
-        comm_dirty = np.zeros(n, dtype=bool)
         rc = runtime.racecheck
         # Resolve the backend per phase: the detector stores only the
         # policy string, so instances stay picklable for EPP's process
@@ -202,8 +168,7 @@ class PLM(CommunityDetector):
             # Shared-memory contract (docs/CORRECTNESS.md): gain kernels
             # read labels/volumes/sizes stale (§III-B benign races); the
             # volume/size transfers run at commit time under the modeled
-            # per-community lock (accumulate_ok); comm_dirty is an
-            # idempotent monotone flag array (racing set-True is safe).
+            # per-community lock (accumulate_ok).
             labels = rc.track(labels, "plm.labels", stale_read_ok=True)
             comm_vol = rc.track(
                 comm_vol, "plm.comm_vol", stale_read_ok=True, accumulate_ok=True
@@ -211,316 +176,60 @@ class PLM(CommunityDetector):
             comm_size = rc.track(
                 comm_size, "plm.comm_size", stale_read_ok=True, accumulate_ok=True
             )
-            comm_dirty = rc.track(
-                comm_dirty,
-                "plm.comm_dirty",
-                stale_read_ok=True,
-                write_write_ok=True,
-            )
-        spec_ctr = self._spec_counters
-        moved_batches: list[np.ndarray] = []
-        rng = np.random.default_rng(self.seed)
-
-        width = np.int64(n)
-        fused_ok = n <= (np.iinfo(np.int64).max - n + 1) // max(n, 1)
-        # Above ~1k rows this NumPy's stable integer argsort (timsort) is
-        # 2-3x slower than introsort. Appending the row index as a tie
-        # component makes every key unique, and the *only* sorted
-        # permutation of unique keys is the stable one — so an unstable
-        # sort of ``key * rows + row`` returns bit-identical group order.
-        # Cap: keys are < n*n, so the fused unique key stays in int64 for
-        # row counts up to this bound.
-        ukey_cap = (
-            (np.iinfo(np.int64).max // max(1, n * n)) if fused_ok else 0
-        )
-
-        def decide(nodes, seg, nbrs, ws, cur=None, vol_u=None, keys=None, base=0):
-            """Fused move decision for ``nodes`` against the *current*
-            shared state.
-
-            Returns ``(pos, src, dst, vol)`` — positions into ``nodes``
-            of the moving nodes plus their current/target labels and
-            volumes — or ``None`` when nothing moves. One flat function
-            (group-by, gain, segmented argmax, symmetry breaking) so the
-            per-block NumPy dispatch count stays low; the float operation
-            tree is identical to the generic
-            :func:`~repro.community._kernels.group_from_gather` +
-            ``argmax_per_segment`` composition.
-
-            ``cur``/``vol_u``/``keys`` accept per-sweep precomputed views
-            (a node's label cannot change before its own block runs, so
-            the sweep-start slice *is* the live value); ``keys`` carries
-            the global fused key ``seg_global * width + labs`` whose
-            constant per-block shift ``base * width`` does not change the
-            stable sort order, and ``base`` shifts group segments back to
-            block-local positions.
-            """
-            if cur is None:
-                cur = labels[nodes]
-            if vol_u is None:
-                vol_u = volumes[nodes]
-            if keys is not None:
-                keys = keys + labels[nbrs]
-                m_rows = keys.size
-                if 1024 < m_rows <= ukey_cap:
-                    order_k = (
-                        keys * np.int64(m_rows) + np.arange(m_rows)
-                    ).argsort()
-                else:
-                    order_k = keys.argsort(kind="stable")
-                keys_s = keys[order_k]
-                boundary = np.empty(keys_s.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
-                starts = boundary.nonzero()[0]
-                gkeys = keys_s[starts]
-                gseg, glab = np.divmod(gkeys, width)
-                if base:
-                    gseg -= base
-            elif fused_ok:
-                # Stable sort of the fused (segment, label) key == stable
-                # lexsort((labs, seg)); labels are node ids < n.
-                labs = labels[nbrs]
-                keys = seg * width + labs
-                order_k = keys.argsort(kind="stable")
-                keys_s = keys[order_k]
-                boundary = np.empty(keys_s.size, dtype=bool)
-                boundary[0] = True
-                np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
-                starts = boundary.nonzero()[0]
-                gkeys = keys_s[starts]
-                gseg, glab = np.divmod(gkeys, width)
-            else:  # int64 overflow guard (n > ~3e9 only)
-                labs = labels[nbrs]
-                order_k = np.lexsort((labs, seg))
-                seg_s = seg[order_k]
-                labs_s = labs[order_k]
-                boundary = np.empty(seg_s.size, dtype=bool)
-                boundary[0] = True
-                np.logical_or(
-                    seg_s[1:] != seg_s[:-1],
-                    labs_s[1:] != labs_s[:-1],
-                    out=boundary[1:],
-                )
-                starts = boundary.nonzero()[0]
-                gseg = seg_s[starts]
-                glab = labs_s[starts]
-            gw = np.add.reduceat(ws[order_k], starts)
-            # Rows pointing at the node's own community: their summed
-            # weight is omega(u, C\\u), and they are excluded as move
-            # candidates (staying put is delta == 0).
-            rows = glab == cur[gseg]
-            w_cur = np.zeros(nodes.size, dtype=np.float64)
-            w_cur[gseg[rows]] = gw[rows]
-            # Gain of moving each node to each neighboring community.
-            vol_c_wo_u = comm_vol[cur] - vol_u
-            delta = (gw - w_cur[gseg]) / omega + (
-                gamma
-                * vol_u[gseg]
-                * (vol_c_wo_u[gseg] - comm_vol[glab])
-                / (2.0 * omega * omega)
-            )
-            # Only rows clearing the move threshold can win. The own-
-            # community row never does: its weight term is exactly 0.0
-            # (gw minus itself) and its volume term is <= 0.0 bit-for-bit
-            # (fl(a-b) <= a for b >= 0, so vol_c_wo_u - comm_vol[own]
-            # <= 0), so no explicit exclusion is needed and most blocks
-            # return here after a single comparison.
-            rows_p = (delta > 1e-15).nonzero()[0]
-            if rows_p.size == 0:
-                return None
-            # Segmented argmax over the positive rows only — a segment's
-            # global max is positive iff any of its rows is, and all rows
-            # tied at the max are positive, so restricting to them picks
-            # the same winner. np.maximum returns one of its operands
-            # bit-for-bit, so the equality probe is exact, and the *last*
-            # qualifying row of a run tie-breaks toward the larger label
-            # (rows are label-ascending within a run).
-            seg_p = gseg[rows_p]
-            delta_p = delta[rows_p]
-            run_start = np.empty(seg_p.size, dtype=bool)
-            run_start[0] = True
-            np.not_equal(seg_p[1:], seg_p[:-1], out=run_start[1:])
-            sstarts = run_start.nonzero()[0]
-            run_max = np.maximum.reduceat(delta_p, sstarts)
-            run_idx = np.cumsum(run_start) - 1
-            at_max = (delta_p == run_max[run_idx]).nonzero()[0]
-            seg_at = seg_p[at_max]
-            is_last = np.empty(seg_at.size, dtype=bool)
-            is_last[-1] = True
-            np.not_equal(seg_at[1:], seg_at[:-1], out=is_last[:-1])
-            win = rows_p[at_max[is_last]]
-            pos = seg_at[is_last]
-            dst = glab[win]
-            src = cur[pos]
-            # Symmetry breaking for concurrent evaluation: two singleton
-            # nodes may see the symmetric move (u -> {v}, v -> {u}) as
-            # profitable on mutually stale data and swap forever. Allow a
-            # singleton -> singleton move only toward the smaller
-            # community id (the standard remedy in parallel Louvain
-            # codes).
-            swap = (
-                (comm_size[src] == 1) & (comm_size[dst] == 1) & (dst > src)
-            )
-            if swap.any():
-                keep = ~swap
-                pos = pos[keep]
-                src = src[keep]
-                dst = dst[keep]
-                if pos.size == 0:
-                    return None
-            return pos, src, dst, vol_u[pos]
-
         if knb is not None:
             scratch = knb.KernelScratch(n, cache.weights.dtype)
             denom = 2.0 * omega * omega
+        moved_batches: list[np.ndarray] = []
+        rng = np.random.default_rng(self.seed)
 
-            def decide_compiled(cur, vol_u, bounds, lo, nbrs, ws):
-                """Compiled twin of :func:`decide` over a CSR block.
-
-                ``cur``/``vol_u`` are the block's per-position labels and
-                volumes; ``nbrs``/``ws`` are the flat plan (or gather)
-                arrays addressed through ``bounds`` from ``lo`` — views,
-                never copies. Same return contract as ``decide``.
-                """
-                out_pos = np.empty(cur.size, dtype=np.int64)
-                out_dst = np.empty(cur.size, dtype=np.int64)
+        def kernel(chunk: np.ndarray):
+            # The executor hands out contiguous slices of the sweep order;
+            # the per-sweep arrays below are rebound before every sweep. A
+            # node's label and volume cannot change before its own block
+            # runs, so slices of the sweep-start ``labels_ord``/``vol_ord``
+            # are the live values.
+            lo = inv[chunk[0]]
+            hi = lo + chunk.size
+            a = bounds[lo]
+            b = bounds[hi]
+            if a == b:
+                return None
+            cur = labels_ord[lo:hi]
+            vol_u = vol_ord[lo:hi]
+            if knb is not None:
+                pos = np.empty(cur.size, dtype=np.int64)
+                dst = np.empty(cur.size, dtype=np.int64)
                 count = knb.plm_decide_block(
-                    cur,
-                    vol_u,
-                    labels,
-                    bounds,
-                    lo,
-                    nbrs,
-                    ws,
-                    comm_vol,
-                    comm_size,
-                    omega,
-                    gamma,
-                    denom,
-                    scratch.weight,
-                    scratch.mark,
-                    scratch.touched,
-                    scratch.stamp,
-                    out_pos,
-                    out_dst,
+                    cur, vol_u, labels, bounds, int(lo), nbrs, ws,
+                    comm_vol, comm_size, omega, gamma, denom,
+                    scratch.weight, scratch.mark, scratch.touched,
+                    scratch.stamp, pos, dst,
                 )
-                if count == 0:
-                    return None
-                pos = out_pos[:count]
-                return pos, cur[pos], out_dst[:count], vol_u[pos]
-
-        def make_kernel(plan, labels_ord, vol_ord, keys_base, spec):
-            """Bind the sweep's precomputed arrays into a fresh kernel
-            closure (cheaper per block than dict lookups + method calls).
-
-            ``labels_ord``/``vol_ord`` are sweep-start per-position views;
-            a node's label/volume cannot change before its own block runs,
-            so basic slices of them are bit-identical to the fancy gathers
-            ``labels[chunk]``/``volumes[chunk]`` the generic path does.
-            """
-            order_arr = plan.order
-            ostrides = order_arr.strides
-            inv = plan._inv
-            bounds = plan.bounds
-            nbrs_all = plan.nbrs
-            ws_all = plan.ws
-            if spec is not None:
-                s_move, s_lab, s_vol, s_nbr_labs = spec
-
-            def kernel(chunk: np.ndarray):
-                if not (
-                    chunk.base is order_arr
-                    and chunk.strides == ostrides
-                    and chunk.size
-                ):
-                    # Not an executor slice of the planned order.
-                    seg, nbrs, ws = cache.gather(chunk)
-                    if seg.size == 0:
-                        return None
-                    if knb is not None:
-                        decision = decide_compiled(
-                            labels[chunk],
-                            volumes[chunk],
-                            seg_bounds(seg, chunk.size),
-                            0,
-                            nbrs,
-                            ws,
-                        )
-                    else:
-                        decision = decide(chunk, seg, nbrs, ws)
-                    if decision is None:
-                        return None
-                    pos, src, dst, vol = decision
-                    return chunk[pos], src, dst, vol
-                lo = inv[chunk[0]]
-                hi = lo + chunk.size
-                sl = slice(bounds[lo], bounds[hi])
-                cur = labels_ord[lo:hi]
-                if spec is not None:
-                    # Every decision input lives in the chunk's or its
-                    # neighbors' sweep-start communities (a moved
-                    # neighbor's source community is its sweep-start
-                    # label, so label drift is caught too). All clean ->
-                    # the kernel would read bit-identical inputs to the
-                    # speculation pass. Until the sweep's first commit
-                    # (``spec_dirty``) nothing can be dirty, so the
-                    # per-block array checks are skipped outright — in a
-                    # fully quiet sweep every block takes this scalar
-                    # shortcut.
-                    if not state["spec_dirty"] or (
-                        not comm_dirty[s_nbr_labs[sl]].any()
-                        and not comm_dirty[cur].any()
-                    ):
-                        spec_ctr["validated"] = spec_ctr.get("validated", 0) + 1
-                        mm = s_move[lo:hi]
-                        if not mm.any():
-                            return None
-                        return (
-                            chunk[mm],
-                            cur[mm],
-                            s_lab[lo:hi][mm],
-                            s_vol[lo:hi][mm],
-                        )
-                    # A commit since sweep start touched one of this
-                    # block's input communities: the speculated decision
-                    # may be stale, re-evaluate against live state below.
-                    spec_ctr["invalidated"] = spec_ctr.get("invalidated", 0) + 1
-                if knb is not None:
-                    if bounds[lo] == bounds[hi]:
-                        return None
-                    decision = decide_compiled(
-                        cur, vol_ord[lo:hi], bounds, int(lo), nbrs_all, ws_all
-                    )
-                    if decision is None:
-                        return None
-                    pos, src, dst, vol = decision
-                    return chunk[pos], src, dst, vol
-                nbrs = nbrs_all[sl]
-                if nbrs.size == 0:
-                    return None
-                if keys_base is not None:
-                    decision = decide(
-                        chunk,
-                        None,
-                        nbrs,
-                        ws_all[sl],
-                        cur=cur,
-                        vol_u=vol_ord[lo:hi],
-                        keys=keys_base[sl],
-                        base=int(lo),
-                    )
-                else:  # int64 overflow fallback: local segments
-                    seg, nbrs, ws = plan.block_at(int(lo), chunk.size)
-                    decision = decide(
-                        chunk, seg, nbrs, ws, cur=cur, vol_u=vol_ord[lo:hi]
-                    )
+                pos = pos[:count]
+                dst = dst[:count]
+            else:
+                decision = best_moves(
+                    key_base[a:b], labels[nbrs[a:b]], ws[a:b], cur, vol_u,
+                    comm_vol, omega, gamma, n, base=lo, larger_label=True,
+                )
                 if decision is None:
                     return None
-                pos, src, dst, vol = decision
-                return chunk[pos], src, dst, vol
-
-            return kernel
+                pos, dst = decision
+                # Symmetry breaking for concurrent evaluation: two
+                # singletons may see the symmetric move (u -> {v},
+                # v -> {u}) as profitable on mutually stale data and swap
+                # forever. Allow a singleton -> singleton move only toward
+                # the smaller community id (the standard remedy in
+                # parallel Louvain codes; the compiled twin applies it
+                # inside its scan).
+                src = cur[pos]
+                swap = (comm_size[src] == 1) & (comm_size[dst] == 1) & (dst > src)
+                if swap.any():
+                    pos = pos[~swap]
+                    dst = dst[~swap]
+            if pos.size == 0:
+                return None
+            return chunk[pos], cur[pos], dst, vol_u[pos]
 
         def commit(update) -> None:
             if update is None:
@@ -528,29 +237,11 @@ class PLM(CommunityDetector):
             nodes, src, dst, vol_u = update
             # A node's label is written only by its own kernel, so src is
             # still current; volumes transfer under the simulated lock.
-            if nodes.size == 1:
-                # Scalar path: IEEE-identical to the single-element
-                # ufunc.at calls below at a fraction of the dispatch cost
-                # (quiet sweeps commit one move at a time).
-                s = int(src[0])
-                d = int(dst[0])
-                v = vol_u[0]
-                labels[int(nodes[0])] = d
-                comm_vol[s] -= v
-                comm_vol[d] += v
-                comm_size[s] -= 1
-                comm_size[d] += 1
-            else:
-                labels[nodes] = dst
-                np.subtract.at(comm_vol, src, vol_u)
-                np.add.at(comm_vol, dst, vol_u)
-                np.subtract.at(comm_size, src, 1)
-                np.add.at(comm_size, dst, 1)
-            state["moves"] += int(nodes.size)
-            if state["spec"] is not None:
-                comm_dirty[src] = True
-                comm_dirty[dst] = True
-                state["spec_dirty"] = True
+            labels[nodes] = dst
+            np.subtract.at(comm_vol, src, vol_u)
+            np.add.at(comm_vol, dst, vol_u)
+            np.subtract.at(comm_size, src, 1)
+            np.add.at(comm_size, dst, 1)
             moved_batches.append(nodes)
 
         sweeps = 0
@@ -584,15 +275,13 @@ class PLM(CommunityDetector):
         best_mod = incremental_modularity()
         best_labels = labels.copy()
         start_labels = np.empty_like(labels)
-        # Reused per-sweep buffers (satellite: cut allocation churn).
+        # Reused per-sweep buffers.
         order = np.empty_like(nodes_all)
         base_costs = degrees.astype(np.float64) + 3.0
         costs = np.empty(nodes_all.size, dtype=np.float64)
         bad_sweeps = 0
-        prev_moves = order.size  # first sweep is always evaluated live
         with runtime.section(section):
             while sweeps < self.max_sweeps:
-                state["moves"] = 0
                 moved_batches.clear()
                 np.copyto(start_labels, labels)
                 # Fresh node order per sweep. The C++ code gets this "for
@@ -606,59 +295,15 @@ class PLM(CommunityDetector):
                 rng.shuffle(order)
                 np.take(base_costs, order, out=costs)
                 plan = cache.plan(order)
+                inv, bounds, nbrs, ws = plan.inv, plan.bounds, plan.nbrs, plan.ws
                 labels_ord = labels[order]
                 vol_ord = volumes[order]
-                # The fused sort key is a numpy-path artifact; the
-                # compiled kernels scan instead of sorting, so skip
-                # building it under the numba backend.
-                keys_base = (
-                    plan.seg * width if fused_ok and knb is None else None
-                )
-                if (
-                    self.speculate
-                    and prev_moves * 1024 < order.size
-                    and plan.seg.size
-                ):
-                    # Quiet sweep expected: speculate every block's
-                    # decision from the sweep-start state in one pass
-                    # (same ``decide`` the per-block kernel runs, so the
-                    # float operation tree is identical by construction).
-                    if knb is not None:
-                        decision = decide_compiled(
-                            labels_ord, vol_ord, plan.bounds, 0, plan.nbrs,
-                            plan.ws,
-                        )
-                    else:
-                        decision = decide(
-                            order,
-                            plan.seg,
-                            plan.nbrs,
-                            plan.ws,
-                            cur=labels_ord,
-                            vol_u=vol_ord,
-                            keys=keys_base,
-                        )
-                    s_move = np.zeros(order.size, dtype=bool)
-                    s_lab = np.zeros(order.size, dtype=np.int64)
-                    s_vol = np.zeros(order.size, dtype=np.float64)
-                    if decision is not None:
-                        pos, _, dst, vol = decision
-                        s_move[pos] = True
-                        s_lab[pos] = dst
-                        s_vol[pos] = vol
-                    comm_dirty[:] = False
-                    state["spec_dirty"] = False
-                    spec = (s_move, s_lab, s_vol, labels[plan.nbrs])
-                    spec_ctr["speculated_sweeps"] = (
-                        spec_ctr.get("speculated_sweeps", 0) + 1
-                    )
-                else:
-                    spec = None
-                state["spec"] = spec
+                # The compiled kernel scans instead of sorting.
+                key_base = plan.seg * n if knb is None else None
                 runtime.charge(nodes_all.size * 0.5, parallel=True)
                 runtime.parallel_for(
                     order,
-                    make_kernel(plan, labels_ord, vol_ord, keys_base, spec),
+                    kernel,
                     commit,
                     costs=costs,
                     schedule=self.schedule,
@@ -670,8 +315,7 @@ class PLM(CommunityDetector):
                     loop=f"{self.name.lower()}.{section}",
                 )
                 sweeps += 1
-                prev_moves = state["moves"]
-                if prev_moves == 0:
+                if not moved_batches:
                     break
                 changed_any = True
                 # Incremental intra update: each non-loop edge incident to
@@ -751,10 +395,8 @@ class PLM(CommunityDetector):
             "refine_sweeps_per_level": [],
             "gamma": self.gamma,
         }
-        self._spec_counters = {}
         labels = self._detect(graph, runtime, 0, info)
         info["levels"] = len(info["sweeps_per_level"])
-        info["speculation"] = dict(self._spec_counters)
         info["kernel_backend"] = resolve_kernel_backend(self.kernel_backend)
         return labels, info
 

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.community._kernels import neighborhood_cache
-from repro.community._moves import best_sync_moves
+from repro.community._moves import apply_transfers, best_moves
 from repro.community.base import CommunityDetector
 from repro.community.plp import _hash_jitter
 from repro.graph.coarsening import coarsen, prolong
@@ -140,19 +140,16 @@ class SyncLouvain(CommunityDetector):
             np.random.default_rng([self.seed, level]).integers(1, 2**63)
         )
         state: dict[str, Any] = {
-            "moves": 0, "candidates": 0, "snap": None, "vol_snap": None,
-            "salt": base_salt,
+            "candidates": 0, "snap": None, "vol_snap": None, "salt": base_salt,
         }
         pending: list[tuple[np.ndarray, ...]] = []
 
         def kernel(chunk: np.ndarray):
             seg, nbrs, ws = state["plan"].block(chunk)
-            if seg.size == 0:
-                return None
             snap = state["snap"]
-            decision = best_sync_moves(
-                chunk, seg, nbrs, ws, snap, state["vol_snap"],
-                volumes[chunk], omega, gamma, n,
+            decision = best_moves(
+                seg * n, snap[nbrs], ws, snap[chunk], volumes[chunk],
+                state["vol_snap"], omega, gamma, n,
             )
             if decision is None:
                 return None
@@ -178,7 +175,6 @@ class SyncLouvain(CommunityDetector):
                 return
             nodes, src, dst, vol = batch
             labels[nodes] = dst
-            state["moves"] += int(nodes.size)
             pending.append((nodes, src, dst, vol))
 
         items = np.flatnonzero(degrees > 0)
@@ -191,7 +187,6 @@ class SyncLouvain(CommunityDetector):
         bad_sweeps = 0
         with runtime.section("move"):
             while sweeps < self.max_sweeps and items.size:
-                state["moves"] = 0
                 state["candidates"] = 0
                 state["salt"] = base_salt + np.uint64(sweeps * 1_000_003)
                 # Sweep-start snapshots: plain arrays, so kernel reads
@@ -210,24 +205,13 @@ class SyncLouvain(CommunityDetector):
                     memory_bound=0.45,
                     loop="slouvain.move",
                 )
-                if pending:
-                    # Sweep barrier: volume transfers in node-id order —
-                    # commit arrival order depends on the schedule, node
-                    # ids do not.
-                    nodes = np.concatenate([b[0] for b in pending])
-                    src = np.concatenate([b[1] for b in pending])
-                    dst = np.concatenate([b[2] for b in pending])
-                    vol = np.concatenate([b[3] for b in pending])
-                    order = np.argsort(nodes)
-                    np.subtract.at(comm_vol, src[order], vol[order])
-                    np.add.at(comm_vol, dst[order], vol[order])
-                    pending.clear()
+                moves = apply_transfers(comm_vol, pending)  # sweep barrier
                 sweeps += 1
                 if state["candidates"] == 0:
                     # True synchronous local optimum: not a single node
                     # found a positive-gain move against the snapshot.
                     break
-                if state["moves"] == 0:
+                if moves == 0:
                     # Candidates existed but every coin flip failed; the
                     # next sweep rehashes with a fresh salt.
                     continue

@@ -35,12 +35,12 @@ staleness, which are lock-modeled accumulators) is documented in
 ``docs/CORRECTNESS.md``.
 
 **What is and is not covered.** The checker sees *live* indexed accesses to
-tracked arrays. Sweep-start snapshots (PLM's ``labels[order]`` prefetch)
-and the speculation fast path read copies taken outside any block and are
-therefore invisible to footprint tracking; their equivalence to live reads
+tracked arrays. PLM's per-sweep ``labels[order]`` view, which each block
+reads for its own nodes only, is a copy taken outside any block and is
+therefore invisible to footprint tracking; its equivalence to live reads
 is the "a node's label cannot change before its own block runs" argument,
 validated separately by :func:`verify_schedule_independence` and the
-speculation regression tests.
+pinned output digests of the Louvain-family detectors.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Used by the LFR accuracy study (Fig. 8: Jaccard index between detected and
 ground-truth communities) and the ensemble-diversity analysis (§V-D:
-Jaccard dissimilarity between base solutions). All measures are pair-count
-based and computed from the contingency table of the two partitions, which
-is assembled vectorized via a combined 64-bit key.
+Jaccard dissimilarity between base solutions). All measures are computed
+from the contingency table of the two partitions. Only its nonzero cells
+are built — at most ``n`` of them, one ``np.unique`` over a combined
+64-bit key — so memory stays O(n) even when both partitions have
+thousands of communities (a dense ``ka x kb`` table would not).
 """
 
 from __future__ import annotations
@@ -31,6 +33,28 @@ def _labels(x) -> np.ndarray:
     return compact.astype(np.int64)
 
 
+def _contingency(a, b):
+    """Nonzero contingency cells and marginals of two partitions.
+
+    Returns ``(ii, jj, nij, ai, bj)``: cell ``k`` counts the ``nij[k]``
+    nodes labelled ``ii[k]`` in ``a`` and ``jj[k]`` in ``b`` (cells in
+    ascending ``(ii, jj)`` order); ``ai``/``bj`` are the label counts
+    of each partition. All counts are float64.
+    """
+    la, lb = _labels(a), _labels(b)
+    if la.shape != lb.shape:
+        raise ValueError("partitions must cover the same node set")
+    kb = int(lb.max(initial=0)) + 1
+    cells, nij = np.unique(la * kb + lb, return_counts=True)
+    ai = np.bincount(la).astype(np.float64)
+    bj = np.bincount(lb).astype(np.float64)
+    return cells // kb, cells % kb, nij.astype(np.float64), ai, bj
+
+
+def _choose2_sum(x: np.ndarray) -> float:
+    return float((x * (x - 1) / 2.0).sum())
+
+
 def pair_counts(a, b) -> tuple[float, float, float, float]:
     """Pair-classification counts ``(n11, n10, n01, n00)``.
 
@@ -39,25 +63,14 @@ def pair_counts(a, b) -> tuple[float, float, float, float]:
     Computed from sums of binomial coefficients over the contingency table,
     never by enumerating pairs.
     """
-    la, lb = _labels(a), _labels(b)
-    if la.shape != lb.shape:
-        raise ValueError("partitions must cover the same node set")
-    n = la.size
+    _, _, nij, ai, bj = _contingency(a, b)
+    n = int(ai.sum())
     if n == 0:
         return 0.0, 0.0, 0.0, 0.0
-    ka = int(la.max()) + 1
-    key = la * (int(lb.max()) + 1) + lb
-    nij = np.bincount(key).astype(np.float64)
-    ai = np.bincount(la).astype(np.float64)
-    bj = np.bincount(lb).astype(np.float64)
-
-    def choose2(x: np.ndarray) -> float:
-        return float((x * (x - 1) / 2.0).sum())
-
     total = n * (n - 1) / 2.0
-    s11 = choose2(nij)
-    sa = choose2(ai)
-    sb = choose2(bj)
+    s11 = _choose2_sum(nij)
+    sa = _choose2_sum(ai)
+    sb = _choose2_sum(bj)
     n11 = s11
     n10 = sa - s11
     n01 = sb - s11
@@ -86,24 +99,14 @@ def rand_index(a, b) -> float:
 
 def adjusted_rand_index(a, b) -> float:
     """Rand index corrected for chance (Hubert–Arabie)."""
-    la, lb = _labels(a), _labels(b)
-    if la.shape != lb.shape:
-        raise ValueError("partitions must cover the same node set")
-    n = la.size
+    _, _, nij, ai, bj = _contingency(a, b)
+    n = int(ai.sum())
     if n <= 1:
         return 1.0
-    key = la * (int(lb.max()) + 1) + lb
-    nij = np.bincount(key).astype(np.float64)
-    ai = np.bincount(la).astype(np.float64)
-    bj = np.bincount(lb).astype(np.float64)
-
-    def choose2(x: np.ndarray) -> float:
-        return float((x * (x - 1) / 2.0).sum())
-
     total = n * (n - 1) / 2.0
-    s11 = choose2(nij)
-    sa = choose2(ai)
-    sb = choose2(bj)
+    s11 = _choose2_sum(nij)
+    sa = _choose2_sum(ai)
+    sb = _choose2_sum(bj)
     expected = sa * sb / total
     maximum = (sa + sb) / 2.0
     if np.isclose(maximum, expected):
@@ -113,25 +116,14 @@ def adjusted_rand_index(a, b) -> float:
 
 def normalized_mutual_information(a, b) -> float:
     """NMI with arithmetic-mean normalization (0 = independent, 1 = equal)."""
-    la, lb = _labels(a), _labels(b)
-    if la.shape != lb.shape:
-        raise ValueError("partitions must cover the same node set")
-    n = la.size
+    ii, jj, nij, ai, bj = _contingency(a, b)
+    n = int(ai.sum())
     if n == 0:
         return 1.0
-    kb = int(lb.max()) + 1
-    key = la * kb + lb
-    nij = np.bincount(key).astype(np.float64) / n
-    pi = np.bincount(la).astype(np.float64) / n
-    pj = np.bincount(lb).astype(np.float64) / n
-    nz = nij > 0
-    # Joint index decomposition to recover the marginals per cell.
-    cells = np.flatnonzero(nz)
-    ii = cells // kb
-    jj = cells % kb
-    mi = float(
-        (nij[cells] * np.log(nij[cells] / (pi[ii] * pj[jj]))).sum()
-    )
+    nij = nij / n
+    pi = ai / n
+    pj = bj / n
+    mi = float((nij * np.log(nij / (pi[ii] * pj[jj]))).sum())
     hi = float(-(pi[pi > 0] * np.log(pi[pi > 0])).sum())
     hj = float(-(pj[pj > 0] * np.log(pj[pj > 0])).sum())
     if hi == 0.0 and hj == 0.0:

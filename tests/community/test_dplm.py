@@ -131,7 +131,6 @@ class TestInternals:
         results = []
         for mask in (None, np.ones(graph.n, dtype=bool)):
             plm = PLM(threads=4, seed=5)
-            plm._spec_counters = {}
             runtime = ParallelRuntime(PAPER_MACHINE, threads=4)
             labels = np.arange(graph.n, dtype=np.int64)
             ret = plm._move_phase(graph, labels, runtime, "move", mask=mask)

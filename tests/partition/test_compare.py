@@ -1,5 +1,7 @@
 """Tests for partition comparison measures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,26 @@ class TestNMI:
     def test_trivial_partitions(self):
         o = np.zeros(5, dtype=int)
         assert normalized_mutual_information(o, o) == 1.0
+
+
+class TestContingencyMemory:
+    """The contingency table holds only nonzero cells: O(n), not ka x kb."""
+
+    @pytest.mark.parametrize(
+        "measure", [pair_counts, adjusted_rand_index, normalized_mutual_information]
+    )
+    def test_peak_memory_is_linear_in_n(self, measure):
+        # 2000 communities on each side: a dense table would be 4M cells
+        # (32 MB per copy); the sparse one has at most n = 4000.
+        n = 4000
+        rng = np.random.default_rng(5)
+        a = np.arange(n) // 2
+        b = rng.permutation(n) // 2
+        measure(a, b)  # warm up lazy imports outside the window
+        tracemalloc.start()
+        try:
+            measure(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
