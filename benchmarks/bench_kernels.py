@@ -32,10 +32,6 @@ def test_kernel_suite_smoke(tmp_path):
     assert {
         "gather_full",
         "gather_chunked",
-        "group_full",
-        "group_chunked",
-        "argmax_per_segment",
-        "weight_to_label",
         "coarsen",
         "move_sweep",
     } <= names

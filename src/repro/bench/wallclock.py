@@ -10,14 +10,13 @@ Two different clocks live in this repository:
   that, so host-speed optimizations are tracked release over release
   without ever touching the simulated cost model.
 
-The suite times the shared hot kernels (neighborhood gather, label
-group-by, segmented argmax, coarsening) and the PLM move-phase sweep on
-R-MAT and planted-partition graphs at several sizes, and the end-to-end
-detectors, emitting machine-readable JSON (``BENCH_kernels.json`` /
-``BENCH_e2e.json`` at the repo root). A previous run can be passed as a
-baseline, in which case every entry carries ``before_s`` / ``after_s`` /
-``speedup`` — the perf trajectory all future optimization PRs are
-measured against.
+The suite times the shared hot kernels (neighborhood gather, coarsening)
+and the PLM move-phase sweep on R-MAT and planted-partition graphs at
+several sizes, and the end-to-end detectors, emitting machine-readable
+JSON (``BENCH_kernels.json`` / ``BENCH_e2e.json`` at the repo root). A
+previous run can be passed as a baseline, in which case every entry
+carries ``before_s`` / ``after_s`` / ``speedup`` — the perf trajectory
+all future optimization PRs are measured against.
 
 Both suites take ``--workers N`` (or ``REPRO_WORKERS``): the kernel suite
 fans its independent cells out to the shared-memory process pool of
@@ -64,7 +63,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.community import EPP, PLM, PLMR, PLP, kernel_backends
-from repro.community._kernels import gather_neighborhoods, group_label_weights
+from repro.community._kernels import gather_neighborhoods
 from repro.graph.coarsening import coarsen
 from repro.graph.csr import Graph
 from repro.graph.generators import planted_partition, rmat
@@ -151,10 +150,6 @@ def _entry(
 KERNEL_NAMES = (
     "gather_full",
     "gather_chunked",
-    "group_full",
-    "group_chunked",
-    "argmax_per_segment",
-    "weight_to_label",
     "coarsen",
     "move_sweep",
 )
@@ -183,7 +178,6 @@ def _kernel_cell(
     nodes = np.arange(graph.n, dtype=np.int64)
     order = rng.permutation(nodes)
     labels = rng.integers(0, max(2, graph.n // 10), size=graph.n)
-    groups = group_label_weights(graph, nodes, labels)
     blocks = [order[lo : lo + chunk] for lo in range(0, graph.n, chunk)]
 
     def bench_gather_full():
@@ -192,19 +186,6 @@ def _kernel_cell(
     def bench_gather_chunked():
         for b in blocks:
             gather_neighborhoods(graph, b)
-
-    def bench_group_full():
-        return group_label_weights(graph, nodes, labels)
-
-    def bench_group_chunked():
-        for b in blocks:
-            group_label_weights(graph, b, labels)
-
-    def bench_argmax():
-        return groups.argmax_per_segment(graph.n)
-
-    def bench_weight_to_label():
-        return groups.weight_to_label(graph.n, labels)
 
     def bench_coarsen():
         return coarsen(graph, labels)
@@ -218,10 +199,6 @@ def _kernel_cell(
     fns: dict[str, Callable[[], Any]] = {
         "gather_full": bench_gather_full,
         "gather_chunked": bench_gather_chunked,
-        "group_full": bench_group_full,
-        "group_chunked": bench_group_chunked,
-        "argmax_per_segment": bench_argmax,
-        "weight_to_label": bench_weight_to_label,
         "coarsen": bench_coarsen,
         "move_sweep": bench_move_sweep,
     }

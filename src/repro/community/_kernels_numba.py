@@ -1,16 +1,15 @@
 """Numba-jitted single-pass kernels for the PLP/PLM hot loops.
 
-The fused NumPy kernels of :mod:`repro.community._kernels` /
-:meth:`PLM._move_phase` still pay ~30 array dispatches plus several
-intermediate allocations per sweep. These kernels collapse each block's
-whole decision — neighborhood gather, per-label weight grouping,
-gain/score evaluation, segmented argmax with symmetry breaking — into
-one cache-friendly pass over the CSR slice, following Lu &
-Halappanavar's single-traversal per-vertex scan structure
-(arXiv:1410.1237): a per-node scan over the adjacency accumulates label
-weights into a stamped scratch table (no global sorts, no per-block
-index rebuilding), then a second tiny scan over the touched labels picks
-the winner.
+The vectorized NumPy kernels of :mod:`repro.community._moves` still pay
+~30 array dispatches plus several intermediate allocations per sweep.
+These kernels collapse each block's whole decision — neighborhood
+gather, per-label weight grouping, gain/score evaluation, segmented
+argmax with symmetry breaking — into one cache-friendly pass over the
+CSR slice, following Lu & Halappanavar's single-traversal per-vertex
+scan structure (arXiv:1410.1237): a per-node scan over the adjacency
+accumulates label weights into a stamped scratch table (no global sorts,
+no per-block index rebuilding), then a second tiny scan over the touched
+labels picks the winner.
 
 **Byte-identity contract.** Results must be bit-for-bit identical to the
 NumPy backend — labels, simulated timings, and info counters. That holds
@@ -132,10 +131,10 @@ class KernelScratch:
 
 @njit(cache=True)
 def _jitter1(node, lab, salt):
-    """Scalar twin of :func:`repro.community.plp._hash_jitter`.
+    """Scalar twin of :func:`repro.community._moves._hash_jitter`.
 
     The hash is elementwise, so the scalar evaluation is bit-identical
-    to the vectorized one (the PLP kernel's fused concatenated call is
+    to the vectorized one (``best_labels``' fused concatenated call is
     itself documented as elementwise-splittable). Wrapping uint64
     arithmetic is intentional.
     """

@@ -1,7 +1,10 @@
-"""The one Louvain move kernel: best target community by modularity gain.
+"""The local-move kernels: best community by gain, dominant label by vote.
 
-Every Louvain-family detector asks the same question of each node it
-evaluates — which neighboring community maximizes the paper's
+Both detector families answer one question per evaluated node over its
+neighbor rows grouped by (node, neighbor label) — one fused-key group-by
+(:func:`_group`) serves both.
+
+**Louvain family.** Which neighboring community maximizes the paper's
 closed-form gain (§III-B)::
 
     delta = (w(u,D) - w(u,C\\u)) / w(E)
@@ -27,6 +30,15 @@ The own-community row never wins: its weight term is exactly ``0.0``
 (``w(u,C\\u)`` minus itself) and its volume term is ``<= 0.0``
 bit-for-bit (``fl(a - b) <= a`` for ``b >= 0``), so it never clears
 :data:`GAIN_EPS` and needs no explicit exclusion.
+
+**Label-propagation family.** Which label dominates the neighborhood
+(§III-A, Alg. 1), keeping the current one unless another strictly beats
+it — :func:`best_labels` (the compiled twin ``plp_block`` aside).
+Detectors differ only in the ids fed to the jitter hash, the labels read
+and an optional ``stay`` weight on the current label: PLP/DPLP pass node
+ids and live labels, ShardedPLP's shard sweeps global ids and the
+round-start snapshot, and its merge sweep coarse ids, coarse labels and
+the coarse self-loops as ``stay``.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import numpy as np
 
 from repro.community._kernels import segmented_argmax
 
-__all__ = ["GAIN_EPS", "best_moves", "apply_transfers"]
+__all__ = ["GAIN_EPS", "best_moves", "best_labels", "apply_transfers"]
 
 #: Strict-improvement threshold: gains at or below it are float noise.
 GAIN_EPS = 1e-15
@@ -43,6 +55,67 @@ GAIN_EPS = 1e-15
 #: Largest ``width`` whose fused keys ``seg * width + label`` (both
 #: factors ``< width``) fit in int64.
 _MAX_WIDTH = 3_037_000_499
+
+
+def _hash_jitter(
+    node_ids: np.ndarray, labs: np.ndarray, salt: np.uint64
+) -> np.ndarray:
+    """Deterministic per-(node, label, salt) tie-break noise in [0, 1).
+
+    The original algorithm breaks ties among equally heavy labels
+    arbitrarily; a *consistent* tie-break (e.g. largest label) lets one
+    label win every tie and flood the graph. Hashing (node, label, salt)
+    reproduces arbitrary-but-deterministic tie-breaking, vectorized.
+
+    Wrapping uint64 arithmetic is intentional; NumPy array ops wrap
+    silently, so no ``errstate`` guard is needed (or wanted — entering
+    one per kernel block dominated small-graph sweeps).
+    """
+    h = (
+        node_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        + labs.astype(np.uint64) * np.uint64(2654435761)
+        + salt
+    )
+    h ^= h >> np.uint64(33)
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> np.uint64(33)
+    return (h >> np.uint64(11)).astype(np.float64) / float(2**53)
+
+
+def _group(
+    seg_key: np.ndarray,
+    nbr_lab: np.ndarray,
+    ws: np.ndarray,
+    cur: np.ndarray,
+    width: int,
+    base: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbor rows grouped by (node, label), plus each node's own row.
+
+    Returns ``(gseg, glab, gw, w_cur)``: group ``i`` holds the weight
+    ``gw[i]`` (storage dtype) from node ``gseg[i]`` (``base`` removed) to
+    label ``glab[i]``, groups ascending by (node, label); ``w_cur[p]`` is
+    node ``p``'s weight to its label ``cur[p]`` in float64 (``0.0`` when
+    no row has it). One stable sort of the fused key, so each group's
+    weights sum in gather order.
+    """
+    if width > _MAX_WIDTH:
+        raise OverflowError(f"fused move keys overflow int64 at width {width}")
+    keys = seg_key + nbr_lab
+    order = keys.argsort(kind="stable")
+    keys_s = keys[order]
+    boundary = np.empty(keys_s.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
+    starts = boundary.nonzero()[0]
+    gseg, glab = np.divmod(keys_s[starts], width)
+    if base:
+        gseg -= base
+    gw = np.add.reduceat(ws[order], starts)
+    own = glab == cur[gseg]
+    w_cur = np.zeros(cur.size, dtype=np.float64)
+    w_cur[gseg[own]] = gw[own]
+    return gseg, glab, gw, w_cur
 
 
 def best_moves(
@@ -75,25 +148,7 @@ def best_moves(
     """
     if seg_key.size == 0:
         return None
-    if width > _MAX_WIDTH:
-        raise OverflowError(f"fused move keys overflow int64 at width {width}")
-    # Group rows by (node, label): one stable sort of the fused key, so
-    # each group's weights sum in gather order.
-    keys = seg_key + nbr_lab
-    order = keys.argsort(kind="stable")
-    keys_s = keys[order]
-    boundary = np.empty(keys_s.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys_s[1:], keys_s[:-1], out=boundary[1:])
-    starts = boundary.nonzero()[0]
-    gseg, glab = np.divmod(keys_s[starts], width)
-    if base:
-        gseg -= base
-    gw = np.add.reduceat(ws[order], starts)
-    # The row of a node's own community carries w(u, C\u).
-    own = glab == cur[gseg]
-    w_cur = np.zeros(cur.size, dtype=np.float64)
-    w_cur[gseg[own]] = gw[own]
+    gseg, glab, gw, w_cur = _group(seg_key, nbr_lab, ws, cur, width, base)
     vol_c_wo_u = comm_vol[cur] - vol_u
     delta = (gw - w_cur[gseg]) / omega + (
         gamma
@@ -109,6 +164,53 @@ def best_moves(
         return None
     win = rows_p[segmented_argmax(gseg[rows_p], delta[rows_p], last=larger_label)]
     return gseg[win], glab[win]
+
+
+def best_labels(
+    seg_key: np.ndarray,
+    nbr_lab: np.ndarray,
+    ws: np.ndarray,
+    ids: np.ndarray,
+    cur: np.ndarray,
+    salt: np.uint64,
+    width: int,
+    base: int = 0,
+    stay: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """PLP's jittered dominant-label vote, one decision per node.
+
+    Rows and ``seg_key``/``width``/``base`` are as for
+    :func:`best_moves`; ``ids[p]`` is the id of node ``p`` fed to the
+    jitter hash (with the label and ``salt``) and ``cur[p]`` its current
+    label. Each label scores its summed weight ``w`` plus
+    ``1e-9 * (1 + w)`` times the hash in ``[0, 1)``; the current label
+    scores its weight plus ``stay[p]`` (if given) the same way. The
+    highest-scoring label wins, ties to the larger label, and a node
+    adopts it only if it strictly beats the current label's score.
+
+    Returns ``(moved, new)``: a mask over the nodes that adopt a new
+    label, and those labels in node order.
+    """
+    moved = np.zeros(cur.size, dtype=bool)
+    if seg_key.size == 0:
+        return moved, nbr_lab[:0]
+    gseg, glab, gw, w_cur = _group(seg_key, nbr_lab, ws, cur, width, base)
+    if stay is not None:
+        w_cur += stay
+    # One hash call scores the groups and the current labels; the hash is
+    # elementwise, so the halves equal two separate calls bit for bit.
+    split = gseg.size
+    j = _hash_jitter(
+        np.concatenate([ids[gseg], ids]), np.concatenate([glab, cur]), salt
+    )
+    score = gw + 1e-9 * (1.0 + gw) * j[:split]
+    cur_score = w_cur + 1e-9 * (1.0 + w_cur) * j[split:]
+    win = segmented_argmax(gseg, score, last=True)
+    pos = gseg[win]
+    lab = glab[win]
+    better = (score[win] > cur_score[pos]) & (lab != cur[pos])
+    moved[pos[better]] = True
+    return moved, lab[better]
 
 
 def apply_transfers(

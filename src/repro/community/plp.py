@@ -27,11 +27,10 @@ import numpy as np
 
 from repro.community._kernels import (
     gather_neighborhoods,
-    group_from_gather,
     kernel_module,
     neighborhood_cache,
-    seg_bounds,
 )
+from repro.community._moves import best_labels
 from repro.community.backends import (
     resolve_kernel_backend,
     validate_kernel_backend,
@@ -41,31 +40,6 @@ from repro.graph.csr import Graph
 from repro.parallel.runtime import ParallelRuntime
 
 __all__ = ["PLP"]
-
-
-def _hash_jitter(
-    node_ids: np.ndarray, labs: np.ndarray, salt: np.uint64
-) -> np.ndarray:
-    """Deterministic per-(node, label, salt) tie-break noise in [0, 1).
-
-    The original algorithm breaks ties among equally heavy labels
-    arbitrarily; a *consistent* tie-break (e.g. largest label) lets one
-    label win every tie and flood the graph. Hashing (node, label, salt)
-    reproduces arbitrary-but-deterministic tie-breaking, vectorized.
-
-    Wrapping uint64 arithmetic is intentional; NumPy array ops wrap
-    silently, so no ``errstate`` guard is needed (or wanted — entering
-    one per kernel block dominated small-graph sweeps).
-    """
-    h = (
-        node_ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        + labs.astype(np.uint64) * np.uint64(2654435761)
-        + salt
-    )
-    h ^= h >> np.uint64(33)
-    h *= np.uint64(0xFF51AFD7ED558CCD)
-    h ^= h >> np.uint64(33)
-    return (h >> np.uint64(11)).astype(np.float64) / float(2**53)
 
 
 class PLP(CommunityDetector):
@@ -203,16 +177,8 @@ class PLP(CommunityDetector):
                 active, f"{prefix}.active", stale_read_ok=True, write_write_ok=True
             )
         iterations: list[dict[str, int]] = []
-        # Mutable cells captured by the kernel/commit closures. ``plan``
-        # holds the current iteration's pre-gathered neighborhoods
-        # (SweepPlan): grain blocks slice flat arrays instead of
-        # rebuilding repeat/cumsum index arithmetic per chunk.
-        state: dict[str, Any] = {"updated": 0, "plan": None}
+        updated = 0
         base_salt = np.uint64(rng.integers(1, 2**63))
-        # Per-iteration jitter salt, hoisted out of the kernel (it only
-        # changes between iterations, not between blocks).
-        state["salt"] = base_salt
-
         if knb is not None:
             scratch = knb.KernelScratch(n, cache.weights.dtype)
             # ``1.0`` / ``1e-9`` pre-cast to the storage weight dtype:
@@ -221,80 +187,36 @@ class PLP(CommunityDetector):
             w_one = cache.weights.dtype.type(1.0)
             w_eps = cache.weights.dtype.type(1e-9)
 
-        def kernel_compiled(chunk: np.ndarray):
-            plan = state["plan"]
-            lo = plan.offset(chunk)
-            if lo >= 0:
-                # Views of the plan's flat arrays — no per-block copies,
-                # no dtype conversion (lean int32/f32 pass through).
-                nbrs, ws, bounds = plan.nbrs, plan.ws, plan.bounds
-            else:  # foreign chunk (not a slice of the planned order)
-                seg, nbrs, ws = cache.gather(chunk)
-                bounds = seg_bounds(seg, chunk.size)
-                lo = 0
-            out_move = np.empty(chunk.size, dtype=np.bool_)
-            out_label = np.empty(chunk.size, dtype=np.int64)
-            knb.plp_block(
-                chunk,
-                labels,
-                bounds,
-                lo,
-                nbrs,
-                ws,
-                state["salt"],
-                scratch.weight,
-                scratch.mark,
-                scratch.touched,
-                scratch.stamp,
-                w_one,
-                w_eps,
-                out_move,
-                out_label,
-            )
-            return chunk[out_move], out_label[out_move], chunk[~out_move]
-
         def kernel(chunk: np.ndarray):
-            seg, nbrs, ws = state["plan"].block(chunk)
-            # Labels are always node ids (< n), so the label-range scan
-            # inside the group-by can be skipped.
-            groups = group_from_gather(seg, labels[nbrs], ws, width=n)
-            cur = labels[chunk]
-            cur_w = groups.weight_to_label(chunk.size, cur)
-            salt = state["salt"]
-            if groups.gseg.size:
-                # One fused hash call covers both the candidate-label
-                # scores and the current-label scores; values are
-                # elementwise, so the split halves are bit-identical to
-                # two separate calls.
-                split = groups.gseg.size
-                j = _hash_jitter(
-                    np.concatenate([chunk[groups.gseg], chunk]),
-                    np.concatenate([groups.glab, cur]),
-                    salt,
+            # The executor hands out contiguous slices of the iteration's
+            # order; ``plan``, ``key_base`` and ``salt`` are rebound before
+            # every iteration. Labels are read live (stale-read semantics).
+            lo = plan.inv[chunk[0]]
+            if knb is not None:
+                out_move = np.empty(chunk.size, dtype=np.bool_)
+                out_label = np.empty(chunk.size, dtype=np.int64)
+                knb.plp_block(
+                    chunk, labels, plan.bounds, lo, plan.nbrs, plan.ws, salt,
+                    scratch.weight, scratch.mark, scratch.touched,
+                    scratch.stamp, w_one, w_eps, out_move, out_label,
                 )
-                scale = 1e-9 * (1.0 + groups.gw)
-                score = groups.gw + scale * j[:split]
-                cur_jitter = j[split:]
-            else:
-                score = groups.gw
-                cur_jitter = _hash_jitter(chunk, cur, salt)
-            has, best_lab, best_w = groups.argmax_per_segment(
-                chunk.size, score=score
+                return chunk[out_move], out_label[out_move], chunk[~out_move]
+            a = plan.bounds[lo]
+            b = plan.bounds[lo + chunk.size]
+            moved, new = best_labels(
+                key_base[a:b], labels[plan.nbrs[a:b]], plan.ws[a:b], chunk,
+                labels[chunk], salt, n, base=lo,
             )
-            cur_score = cur_w + 1e-9 * (1.0 + cur_w) * cur_jitter
-            change = has & (best_w > cur_score) & (best_lab != cur)
-            return chunk[change], best_lab[change], chunk[~change]
-
-        if knb is not None:
-            kernel = kernel_compiled
+            return chunk[moved], new, chunk[~moved]
 
         def commit(update) -> None:
+            nonlocal updated
             moved, new_labels, stable = update
             # Nodes already carrying the dominant label go inactive first...
             active[stable] = False
             if moved.size:
                 labels[moved] = new_labels
-                state["updated"] += int(moved.size)
+                updated += int(moved.size)
                 # ...then the neighborhoods of changed nodes reactivate
                 # (vectorized) — in this order, so a node that was stable
                 # in this block but neighbors a move from the *same* block
@@ -318,13 +240,15 @@ class PLP(CommunityDetector):
                 # simulated schedule is deterministic, so a free permutation
                 # stands in for it (it models, not adds, machine behaviour).
                 items = rng.permutation(items)
-                state["plan"] = cache.plan(items)
+                plan = cache.plan(items)
+                # The compiled kernel scans instead of sorting.
+                key_base = plan.seg * n if knb is None else None
                 if self.randomize_order:
                     # *Explicit* randomization as in the original algorithm
                     # costs a real parallel shuffle pass (paper §III-A b).
                     runtime.charge(items.size * 2.0, parallel=True)
-                state["updated"] = 0
-                state["salt"] = base_salt + np.uint64(iteration * 1_000_003)
+                updated = 0
+                salt = base_salt + np.uint64(iteration * 1_000_003)
                 # Per-node commits on small active sets (otherwise a whole
                 # iteration is concurrently in flight and fully stale),
                 # coarser blocks on large ones.
@@ -343,10 +267,8 @@ class PLP(CommunityDetector):
                     loop=f"{self.name.lower()}.{section}",
                 )
                 iteration += 1
-                iterations.append(
-                    {"active": int(items.size), "updated": state["updated"]}
-                )
-                if state["updated"] <= theta:
+                iterations.append({"active": int(items.size), "updated": updated})
+                if updated <= theta:
                     break
 
         return {

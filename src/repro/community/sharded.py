@@ -23,11 +23,11 @@ labels are **identical for every shard count** (and every worker count,
 kernel backend, and schedule). ``shards=1`` *is* the monolithic
 single-segment reference the benchmarks and CI compare against.
 
-The per-node vote reuses PLP's scoring verbatim (jittered dominant
-label, strict improvement), dispatching to the same numpy group-by or
-numba ``plp_block`` kernels — shard-local CSR slices in, **global** node
-ids and label values into the jitter hash, which is what keeps the
-tie-breaks layout-invariant.
+The per-node vote is PLP's own (:func:`repro.community._moves.best_labels`
+or its compiled twin ``plp_block``: jittered dominant label, strict
+improvement) — shard-local CSR slices in, **global** node ids and label
+values into the jitter hash, which is what keeps the tie-breaks
+layout-invariant.
 
 Boundary-halo exchange
 ----------------------
@@ -48,18 +48,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.community._kernels import (
-    group_from_gather,
-    kernel_module,
-    neighborhood_cache,
-    seg_bounds,
-)
+from repro.community._kernels import kernel_module, neighborhood_cache
+from repro.community._moves import _hash_jitter, best_labels
 from repro.community.backends import (
     resolve_kernel_backend,
     validate_kernel_backend,
 )
 from repro.community.base import CommunityDetector
-from repro.community.plp import _hash_jitter
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
 from repro.graph.sharding import (
@@ -188,85 +183,40 @@ def _sweep_shard(
     if items.size == 0:
         return _EMPTY, _EMPTY, _EMPTY, _EMPTY
     plan = cache.plan(items)
+    inv, bounds, ws = plan.inv, plan.bounds, plan.ws
     nbrs_g = to_global[plan.nbrs]  # flat global neighbor ids, plan-aligned
-    backend = resolve_kernel_backend(kernel_backend)
-    knb = kernel_module(backend)
+    knb = kernel_module(resolve_kernel_backend(kernel_backend))
+    if knb is not None:
+        scratch = knb.KernelScratch(n_global, cache.weights.dtype)
+        w_one = cache.weights.dtype.type(1.0)
+        w_eps = cache.weights.dtype.type(1e-9)
+    else:
+        key_base = plan.seg * n_global
 
     moved_parts: list[np.ndarray] = []
     label_parts: list[np.ndarray] = []
     stable_parts: list[np.ndarray] = []
 
     def kernel(chunk: np.ndarray):
-        lo = plan.offset(chunk)
-        if lo >= 0:
-            sl = slice(int(plan.bounds[lo]), int(plan.bounds[lo + chunk.size]))
-            seg = plan.seg[sl] - lo
-            ng = nbrs_g[sl]
-            ws = plan.ws[sl]
-        else:  # foreign chunk (not a slice of the planned order)
-            seg, nbrs_l, ws = cache.gather(chunk)
-            ng = to_global[nbrs_l]
+        # The executor hands out contiguous slices of ``items``.
+        lo = inv[chunk[0]]
         chunk_g = to_global[chunk]
-        # Identical expression tree to PLP's numpy kernel, with global
-        # ids/labels; ``width=n_global`` keeps the fused group-by exact.
-        groups = group_from_gather(seg, labels[ng], ws, width=n_global)
-        cur = labels[chunk_g]
-        cur_w = groups.weight_to_label(chunk.size, cur)
-        if groups.gseg.size:
-            split = groups.gseg.size
-            j = _hash_jitter(
-                np.concatenate([chunk_g[groups.gseg], chunk_g]),
-                np.concatenate([groups.glab, cur]),
-                salt,
-            )
-            scale = 1e-9 * (1.0 + groups.gw)
-            score = groups.gw + scale * j[:split]
-            cur_jitter = j[split:]
-        else:
-            score = groups.gw
-            cur_jitter = _hash_jitter(chunk_g, cur, salt)
-        has, best_lab, best_w = groups.argmax_per_segment(chunk.size, score=score)
-        cur_score = cur_w + 1e-9 * (1.0 + cur_w) * cur_jitter
-        change = has & (best_w > cur_score) & (best_lab != cur)
-        return chunk[change], best_lab[change], chunk[~change]
-
-    if knb is not None:
-        scratch = knb.KernelScratch(n_global, cache.weights.dtype)
-        w_one = cache.weights.dtype.type(1.0)
-        w_eps = cache.weights.dtype.type(1e-9)
-
-        def kernel_compiled(chunk: np.ndarray):
-            lo = plan.offset(chunk)
-            if lo >= 0:
-                nbrs, ws, bounds = nbrs_g, plan.ws, plan.bounds
-            else:
-                seg, nbrs_l, ws = cache.gather(chunk)
-                nbrs = to_global[nbrs_l]
-                bounds = seg_bounds(seg, chunk.size)
-                lo = 0
-            chunk_g = to_global[chunk]
+        if knb is not None:
             out_move = np.empty(chunk.size, dtype=np.bool_)
             out_label = np.empty(chunk.size, dtype=np.int64)
             knb.plp_block(
-                chunk_g,
-                labels,
-                bounds,
-                lo,
-                nbrs,
-                ws,
-                salt,
-                scratch.weight,
-                scratch.mark,
-                scratch.touched,
-                scratch.stamp,
-                w_one,
-                w_eps,
-                out_move,
-                out_label,
+                chunk_g, labels, bounds, lo, nbrs_g, ws, salt,
+                scratch.weight, scratch.mark, scratch.touched, scratch.stamp,
+                w_one, w_eps, out_move, out_label,
             )
             return chunk[out_move], out_label[out_move], chunk[~out_move]
-
-        kernel = kernel_compiled
+        a = bounds[lo]
+        b = bounds[lo + chunk.size]
+        moved, new = best_labels(
+            key_base[a:b], labels[nbrs_g[a:b]], ws[a:b], chunk_g,
+            labels[chunk_g], salt, n_global, base=lo,
+        )
+        return chunk[moved], new, chunk[~moved]
 
     def commit(update) -> None:
         # Synchronous semantics: buffer the decisions; nothing is applied
@@ -670,37 +620,21 @@ class ShardedPLP(CommunityDetector):
                         sweeps += 1
                         continue
                     seg, nbrs, ws = cache.gather(items)
-                    groups = group_from_gather(
-                        seg,
-                        clabels[nbrs],
-                        np.asarray(ws, dtype=np.float64),
-                        width=cn,
+                    # Staying also keeps the community's internal weight.
+                    moved, new = best_labels(
+                        seg * cn, clabels[nbrs], np.asarray(ws, dtype=np.float64),
+                        items, clabels[items], salt, cn, stay=loops64[items],
                     )
-                    cur = clabels[items]
-                    cur_w = groups.weight_to_label(items.size, cur)
-                    split = groups.gseg.size
-                    j = _hash_jitter(
-                        np.concatenate([items[groups.gseg], items]),
-                        np.concatenate([groups.glab, cur]),
-                        salt,
-                    )
-                    score = groups.gw + 1e-9 * (1.0 + groups.gw) * j[:split]
-                    stay = cur_w + loops64[items]
-                    cur_score = stay + 1e-9 * (1.0 + stay) * j[split:]
-                    has, best_lab, best_w = groups.argmax_per_segment(
-                        items.size, score=score
-                    )
-                    change = has & (best_w > cur_score) & (best_lab != cur)
                     runtime.charge(
                         float(seg.size + items.size),
                         parallel=True,
                         memory_bound=0.8,
                     )
                     sweeps += 1
-                    mactive[items[~change]] = False
-                    moved_items = items[change]
+                    mactive[items[~moved]] = False
+                    moved_items = items[moved]
                     if moved_items.size:
-                        clabels[moved_items] = best_lab[change]
+                        clabels[moved_items] = new
                         merged_total += int(moved_items.size)
                         _, mnbrs, _ = cache.gather(moved_items)
                         mactive[np.unique(mnbrs)] = True

@@ -29,9 +29,8 @@ from typing import Any
 import numpy as np
 
 from repro.community._kernels import neighborhood_cache
-from repro.community._moves import apply_transfers, best_moves
+from repro.community._moves import _hash_jitter, apply_transfers, best_moves
 from repro.community.base import CommunityDetector
-from repro.community.plp import _hash_jitter
 from repro.graph.coarsening import coarsen, prolong
 from repro.graph.csr import Graph
 from repro.parallel.runtime import ParallelRuntime
@@ -143,13 +142,21 @@ class SyncLouvain(CommunityDetector):
             "candidates": 0, "snap": None, "vol_snap": None, "salt": base_salt,
         }
         pending: list[tuple[np.ndarray, ...]] = []
+        # The item set is the same every sweep: one plan per level, sliced
+        # per block at ``inv[chunk[0]]`` like PLM's.
+        items = np.flatnonzero(degrees > 0)
+        plan = cache.plan(items)
+        inv, bounds, nbrs, ws = plan.inv, plan.bounds, plan.nbrs, plan.ws
+        key_base = plan.seg * n
 
         def kernel(chunk: np.ndarray):
-            seg, nbrs, ws = state["plan"].block(chunk)
+            lo = inv[chunk[0]]
+            a = bounds[lo]
+            b = bounds[lo + chunk.size]
             snap = state["snap"]
             decision = best_moves(
-                seg * n, snap[nbrs], ws, snap[chunk], volumes[chunk],
-                state["vol_snap"], omega, gamma, n,
+                key_base[a:b], snap[nbrs[a:b]], ws[a:b], snap[chunk],
+                volumes[chunk], state["vol_snap"], omega, gamma, n, base=lo,
             )
             if decision is None:
                 return None
@@ -177,7 +184,6 @@ class SyncLouvain(CommunityDetector):
             labels[nodes] = dst
             pending.append((nodes, src, dst, vol))
 
-        items = np.flatnonzero(degrees > 0)
         costs = degrees[items].astype(np.float64) + 3.0
         grain = max(1, min(32, items.size // (runtime.threads * 8)))
         sweeps = 0
@@ -193,7 +199,6 @@ class SyncLouvain(CommunityDetector):
                 # bypass the tracked shared state entirely.
                 state["snap"] = np.asarray(labels).copy()
                 state["vol_snap"] = np.asarray(comm_vol).copy()
-                state["plan"] = cache.plan(items)
                 runtime.charge(float(n), parallel=True)  # snapshot pass
                 runtime.parallel_for(
                     items,

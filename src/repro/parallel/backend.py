@@ -45,6 +45,7 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import threading
 import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -519,6 +520,14 @@ def _init_worker() -> None:  # pragma: no cover - runs in the worker
     os.environ[_IN_WORKER_ENV] = "1"
 
 
+def _repro_env() -> tuple[tuple[str, str], ...]:
+    """The ``REPRO_*`` variables: the policies pool workers resolve."""
+    return tuple(sorted(
+        (key, value) for key, value in os.environ.items()
+        if key.startswith("REPRO_")
+    ))
+
+
 def _picklable(obj: Any) -> bool:
     try:
         pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -535,6 +544,11 @@ class ProcessPoolBackend(ExecutionBackend):
     is paid once per process, not once per task. Graphs registered via
     :meth:`share_graph` are cached by identity — one set of segments per
     graph for the backend's whole lifetime.
+
+    Workers keep the environment they started with, and ``REPRO_*``
+    policies (the kernel backend, its interpreted fallback) resolve
+    inside them; so :meth:`map` retires a pool whose ``REPRO_*``
+    environment is no longer the caller's and submits to a fresh one.
     """
 
     kind = "process"
@@ -544,6 +558,10 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("ProcessPoolBackend needs workers >= 2")
         self.workers = int(workers)
         self._pool: ProcessPoolExecutor | None = None
+        #: The ``REPRO_*`` environment ``_pool`` was started under.
+        self._pool_env: tuple[tuple[str, str], ...] = ()
+        #: Guards ``_pool``: server executor threads map concurrently.
+        self._lock = threading.Lock()
         self._shared: dict[int, SharedGraph] = {}
         self._keepalive: dict[int, Graph] = {}
         self._closed = False
@@ -575,13 +593,15 @@ class ProcessPoolBackend(ExecutionBackend):
         return handle
 
     # -- execution ------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _submit(self, fn: Callable, task: tuple) -> Future:
         self._closed = False
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_init_worker
-            )
-        return self._pool
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_init_worker
+                )
+                self._pool_env = _repro_env()
+            return self._pool.submit(fn, *task)
 
     def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
         """Fan tasks out to the pool; unpicklable tasks run inline.
@@ -593,11 +613,18 @@ class ProcessPoolBackend(ExecutionBackend):
         core. Only if the fresh pool breaks too do the remaining tasks
         fall back to inline serial execution.
         """
+        env = _repro_env()
+        with self._lock:
+            if self._pool is not None and self._pool_env != env:
+                # Without cancelling: the old pool finishes the futures it
+                # holds, so a concurrent map still collects its results.
+                self._pool.shutdown(wait=False)
+                self._pool = None
         slots: list[Future | _InlineResult] = []
         pending: dict[int, tuple] = {}
         for i, task in enumerate(tasks):
             if _picklable((fn, task)):
-                slots.append(self._ensure_pool().submit(fn, *task))
+                slots.append(self._submit(fn, task))
                 pending[i] = task
             else:
                 slots.append(_InlineResult(fn, task))
@@ -616,7 +643,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 self.restarts += 1
                 for j in range(i, len(slots)):
                     if j in pending and isinstance(slots[j], Future):
-                        slots[j] = self._ensure_pool().submit(fn, *pending[j])
+                        slots[j] = self._submit(fn, pending[j])
                 try:
                     results.append(slots[i].result())
                     continue
@@ -626,13 +653,15 @@ class ProcessPoolBackend(ExecutionBackend):
         return results
 
     def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
     # -- lifetime -------------------------------------------------------
     def shutdown(self) -> None:
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
         for handle in self._shared.values():

@@ -36,10 +36,6 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-#: Upper bound on one request/response line (sanity guard, not a quota:
-#: a 100M-node int64 label array is ~1.1 GB base64 — still under it).
-MAX_LINE_BYTES = 2 << 30
-
 
 class ProtocolError(ValueError):
     """A malformed request or response line."""

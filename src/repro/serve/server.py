@@ -36,6 +36,19 @@ from repro.serve.registry import GraphRegistry
 
 __all__ = ["DetectionServer", "serve_in_thread", "ServerHandle"]
 
+#: The typed request fields: accepted JSON types, and their name in errors.
+_FIELDS: dict[str, tuple[tuple[type, ...], str]] = {
+    "graph": ((str,), "a string"),
+    "path": ((str,), "a string"),
+    "algorithm": ((str,), "a string"),
+    "params": ((dict,), "an object"),
+    "seed": ((int,), "an integer"),
+    "timeout": ((int, float), "a number"),
+}
+
+#: ``_field`` default marking a field without a default.
+_REQUIRED = object()
+
 
 class DetectionServer:
     """Long-lived detection service over a pinned-graph registry."""
@@ -155,6 +168,15 @@ class DetectionServer:
                     line = await reader.readline()
                 except (ConnectionResetError, BrokenPipeError):
                     break
+                except ValueError as exc:
+                    # The line overran the stream limit: the rest of it
+                    # cannot be told from the next request, so answer this
+                    # one and close (closing flushes the answer).
+                    self.stats["errors"] += 1
+                    writer.write(dumps_line(error_response(
+                        "bad_request", f"request line too long: {exc}"
+                    )))
+                    break
                 if not line:
                     break
                 response = await self._respond(line)
@@ -237,10 +259,10 @@ class DetectionServer:
         if op == "detect":
             return await self.queue.submit(
                 self._field(message, "graph"),
-                message.get("algorithm", "plm"),
-                message.get("params") or {},
-                int(message.get("seed", 0)),
-                timeout=message.get("timeout"),
+                self._field(message, "algorithm", "plm"),
+                self._field(message, "params", {}),
+                self._field(message, "seed", 0),
+                timeout=self._field(message, "timeout", None),
             )
         if op == "compare":
             return await self._compare(message)
@@ -261,15 +283,12 @@ class DetectionServer:
         algorithms = message.get("algorithms") or ["plp", "plm"]
         if not isinstance(algorithms, list) or not algorithms:
             raise ProtocolError("compare needs a non-empty 'algorithms' list")
+        params = self._field(message, "params", {})
+        seed = self._field(message, "seed", 0)
+        timeout = self._field(message, "timeout", None)
         payloads = await asyncio.gather(
             *(
-                self.queue.submit(
-                    graph_id,
-                    algorithm,
-                    message.get("params") or {},
-                    int(message.get("seed", 0)),
-                    timeout=message.get("timeout"),
-                )
+                self.queue.submit(graph_id, algorithm, params, seed, timeout=timeout)
                 for algorithm in algorithms
             )
         )
@@ -307,10 +326,22 @@ class DetectionServer:
         }
 
     @staticmethod
-    def _field(message: dict, key: str) -> Any:
+    def _field(message: dict, key: str, default: Any = _REQUIRED) -> Any:
+        """``message[key]``, checked against its JSON type in :data:`_FIELDS`.
+
+        A missing or null field takes ``default``; a missing required
+        field or a value of the wrong type is a ``bad_request``.
+        """
         value = message.get(key)
         if value is None:
-            raise ProtocolError(f"missing required field {key!r}")
+            if default is _REQUIRED:
+                raise ProtocolError(f"missing required field {key!r}")
+            return default
+        types, kind = _FIELDS[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ProtocolError(
+                f"field {key!r} must be {kind}, not {type(value).__name__}"
+            )
         return value
 
     @staticmethod

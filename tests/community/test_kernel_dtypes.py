@@ -18,11 +18,15 @@ import repro.community._kernels_numba as knb
 from repro.community.plm import PLM
 from repro.community.plp import PLP
 from repro.graph import generators
+from repro.parallel.racecheck import RACECHECK_ENV
 
 
 @pytest.fixture(autouse=True)
 def numba_fallback(monkeypatch):
     monkeypatch.setenv(knb.FALLBACK_ENV, "1")
+    # Racecheck pins the NumPy path by design; the spies need the
+    # compiled kernels' arguments.
+    monkeypatch.delenv(RACECHECK_ENV, raising=False)
 
 
 @pytest.fixture(params=["wide", "lean"])

@@ -2,23 +2,19 @@
 
 Every kernel is pitted against a naive per-node dict reference on random
 weighted graphs *with self-loops*, across several seeds — the reference is
-obviously correct, the kernels are fast; they must agree. The fused-key
-group-by additionally must match the lexsort fallback bit-for-bit (both
-sorts are stable on the same ordering, so the float sums are identical,
-not merely close).
+obviously correct, the kernels are fast; they must agree.
 """
 
 import numpy as np
 import pytest
 
-import repro.community._kernels as K
 from repro.community._kernels import (
     NeighborhoodCache,
     gather_neighborhoods,
-    group_from_gather,
-    group_label_weights,
     neighborhood_cache,
+    segmented_argmax,
 )
+from repro.community._moves import _group
 from repro.graph import GraphBuilder
 
 
@@ -52,15 +48,22 @@ def reference_label_weights(graph, nodes, labels):
     return out
 
 
+def grouped(graph, nodes, labels, cur=None):
+    """The shared (node, label) group-by of ``nodes``' neighbor rows."""
+    seg, nbrs, ws = gather_neighborhoods(graph, nodes)
+    cur = labels[nodes] if cur is None else cur
+    return _group(seg * graph.n, labels[nbrs], ws, cur, graph.n, 0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_group_label_weights_matches_dict_reference(seed):
     rng = np.random.default_rng(seed)
     graph = random_loopy_graph(60, 200, rng)
     labels = rng.integers(0, 12, size=graph.n).astype(np.int64)
     nodes = rng.permutation(graph.n)[:40].astype(np.int64)
-    groups = group_label_weights(graph, nodes, labels)
+    gseg, glab, gw, _ = grouped(graph, nodes, labels)
     got = [dict() for _ in range(nodes.size)]
-    for s, l, w in zip(groups.gseg, groups.glab, groups.gw):
+    for s, l, w in zip(gseg, glab, gw):
         got[int(s)][int(l)] = float(w)
     expected = reference_label_weights(graph, nodes, labels)
     for g, e in zip(got, expected):
@@ -75,10 +78,9 @@ def test_weight_to_label_matches_dict_reference(seed):
     graph = random_loopy_graph(50, 160, rng)
     labels = rng.integers(0, 9, size=graph.n).astype(np.int64)
     nodes = rng.permutation(graph.n)[:30].astype(np.int64)
-    groups = group_label_weights(graph, nodes, labels)
+    *_, w_cur = grouped(graph, nodes, labels)
     expected = reference_label_weights(graph, nodes, labels)
     cur = labels[nodes]
-    w_cur = groups.weight_to_label(nodes.size, cur)
     for pos in range(nodes.size):
         assert w_cur[pos] == pytest.approx(
             expected[pos].get(int(cur[pos]), 0.0), rel=0, abs=1e-12
@@ -92,9 +94,9 @@ def test_weight_to_label_current_beyond_key_width():
     graph = random_loopy_graph(40, 120, rng)
     labels = rng.integers(0, 6, size=graph.n).astype(np.int64)
     nodes = np.arange(graph.n, dtype=np.int64)
-    groups = group_label_weights(graph, nodes, labels)
     huge = np.full(graph.n, 10_000_000, dtype=np.int64)
-    assert np.all(groups.weight_to_label(graph.n, huge) == 0.0)
+    *_, w_cur = grouped(graph, nodes, labels, cur=huge)
+    assert np.all(w_cur == 0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -103,48 +105,20 @@ def test_argmax_per_segment_matches_dict_reference(seed):
     graph = random_loopy_graph(50, 150, rng)
     labels = rng.integers(0, 7, size=graph.n).astype(np.int64)
     nodes = np.arange(graph.n, dtype=np.int64)
-    groups = group_label_weights(graph, nodes, labels)
-    has, best_lab, best_w = groups.argmax_per_segment(graph.n)
+    gseg, glab, gw, _ = grouped(graph, nodes, labels)
+    rows = segmented_argmax(gseg, gw, last=True)
+    best = {int(gseg[r]): (int(glab[r]), float(gw[r])) for r in rows}
     expected = reference_label_weights(graph, nodes, labels)
     for v in range(graph.n):
         if not expected[v]:
-            assert not has[v]
+            assert v not in best
             continue
-        assert has[v]
         top = max(expected[v].values())
-        assert best_w[v] == pytest.approx(top, rel=0, abs=1e-12)
+        best_lab, best_w = best[v]
+        assert best_w == pytest.approx(top, rel=0, abs=1e-12)
         # Tie-break: largest label among (float-noise-tolerant) maxima.
         maxima = [l for l, w in expected[v].items() if np.isclose(w, top)]
-        assert best_lab[v] in maxima
-
-
-def test_fused_sort_bitwise_matches_lexsort_fallback(monkeypatch):
-    rng = np.random.default_rng(8)
-    graph = random_loopy_graph(80, 300, rng)
-    labels = rng.integers(0, 15, size=graph.n).astype(np.int64)
-    nodes = rng.permutation(graph.n).astype(np.int64)
-    fused = group_label_weights(graph, nodes, labels)
-    assert fused.keys is not None  # fused path taken
-    monkeypatch.setattr(K, "_MAX_FUSED_KEY", 1)  # force the fallback
-    fallback = group_label_weights(graph, nodes, labels)
-    assert fallback.keys is None  # lexsort path taken
-    assert np.array_equal(fused.gseg, fallback.gseg)
-    assert np.array_equal(fused.glab, fallback.glab)
-    # Bit-for-bit: stable sorts put equal keys in the same order, so the
-    # reduceat summation order — and the float results — are identical.
-    assert np.array_equal(fused.gw, fallback.gw)
-
-
-def test_group_from_gather_negative_labels_use_fallback():
-    seg = np.array([0, 0, 1], dtype=np.int64)
-    labs = np.array([-3, 2, -3], dtype=np.int64)
-    ws = np.array([1.0, 2.0, 4.0])
-    groups = group_from_gather(seg, labs, ws)
-    lookup = {
-        (int(s), int(l)): float(w)
-        for s, l, w in zip(groups.gseg, groups.glab, groups.gw)
-    }
-    assert lookup == {(0, -3): 1.0, (0, 2): 2.0, (1, -3): 4.0}
+        assert best_lab in maxima
 
 
 class TestNeighborhoodCache:
@@ -182,28 +156,10 @@ class TestSweepPlan:
         plan = cache.plan(order)
         for lo in range(0, order.size, 7):
             chunk = order[lo : lo + 7]
-            seg_a, nbrs_a, ws_a = plan.block(chunk)
+            # A block finds its start from its first node, then slices.
+            assert plan.inv[chunk[0]] == lo
+            a, b = plan.bounds[lo], plan.bounds[lo + chunk.size]
             seg_b, nbrs_b, ws_b = cache.gather(chunk)
-            assert np.array_equal(seg_a, seg_b)
-            assert np.array_equal(nbrs_a, nbrs_b)
-            assert np.array_equal(ws_a, ws_b)
-
-    def test_foreign_chunk_falls_back(self):
-        rng = np.random.default_rng(4)
-        graph = random_loopy_graph(40, 120, rng)
-        cache = neighborhood_cache(graph)
-        plan = cache.plan(rng.permutation(graph.n).astype(np.int64))
-        # Not a view of the planned order: a fresh fancy-indexed array.
-        foreign = np.array([5, 1, 9], dtype=np.int64)
-        seg_a, nbrs_a, ws_a = plan.block(foreign)
-        seg_b, nbrs_b, ws_b = cache.gather(foreign)
-        assert np.array_equal(seg_a, seg_b)
-        assert np.array_equal(nbrs_a, nbrs_b)
-        assert np.array_equal(ws_a, ws_b)
-
-    def test_empty_chunk(self):
-        rng = np.random.default_rng(6)
-        graph = random_loopy_graph(10, 20, rng)
-        plan = neighborhood_cache(graph).plan(np.arange(10, dtype=np.int64))
-        seg, nbrs, ws = plan.block(np.empty(0, dtype=np.int64))
-        assert seg.size == nbrs.size == ws.size == 0
+            assert np.array_equal(plan.seg[a:b] - lo, seg_b)
+            assert np.array_equal(plan.nbrs[a:b], nbrs_b)
+            assert np.array_equal(plan.ws[a:b], ws_b)

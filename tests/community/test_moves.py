@@ -1,4 +1,4 @@
-"""The shared Louvain move kernel against a per-node dict reference."""
+"""The shared move and vote kernels against per-node dict references."""
 
 from __future__ import annotations
 
@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.community._kernels import neighborhood_cache
-from repro.community._moves import GAIN_EPS, _MAX_WIDTH, best_moves
+from repro.community._moves import (
+    GAIN_EPS,
+    _MAX_WIDTH,
+    _hash_jitter,
+    best_labels,
+    best_moves,
+)
 from repro.graph.builder import GraphBuilder
 
 
@@ -160,3 +166,152 @@ def test_tie_rules_disagree_on_some_weighted_instance():
     large = best_moves(*args, larger_label=True)
     assert np.array_equal(small[0], large[0])
     assert np.any(small[1] < large[1])
+
+
+# ----------------------------------------------------------------------
+# best_labels: PLP's jittered dominant-label vote
+# ----------------------------------------------------------------------
+SALT = np.uint64(0x5EED)
+
+
+def reference_labels(seg, nbr_lab, ws, ids, cur, salt, stay=None):
+    """One dict per node, summed in row order in the storage dtype.
+
+    A label scores ``w + 1e-9 * (1 + w) * jitter`` with the scale in the
+    storage dtype; the best score wins, ties to the larger label, and a
+    node moves only if that strictly beats its current label's score.
+    """
+    one, eps = ws.dtype.type(1.0), ws.dtype.type(1e-9)
+    moves = {}
+    for i in range(cur.size):
+        w = {}
+        for r in np.flatnonzero(seg == i):
+            lab = int(nbr_lab[r])
+            w[lab] = w.get(lab, ws.dtype.type(0.0)) + ws[r]
+        if not w:
+            continue
+
+        def jitter(lab):
+            return _hash_jitter(np.array([ids[i]]), np.array([lab]), salt)[0]
+
+        best = None
+        for lab in sorted(w):  # ascending: ``>=`` keeps the larger label
+            score = float(w[lab]) + float(eps * (one + w[lab])) * jitter(lab)
+            if best is None or score >= best[0]:
+                best = (score, lab)
+        c = int(cur[i])
+        w_cur = float(w.get(c, 0.0)) + (0.0 if stay is None else stay[i])
+        cur_score = w_cur + 1e-9 * (1.0 + w_cur) * jitter(c)
+        if best[0] > cur_score and best[1] != c:
+            moves[i] = best[1]
+    return moves
+
+
+def run_labels(seg, nbr_lab, ws, cur, stay=None, dtype=np.float64, width=8,
+               base=0, salt=SALT):
+    seg = np.asarray(seg, dtype=np.int64)
+    cur = np.asarray(cur, dtype=np.int64)
+    ids = np.arange(100, 100 + cur.size, dtype=np.int64)
+    args = (np.asarray(nbr_lab, dtype=np.int64), np.asarray(ws, dtype=dtype),
+            ids, cur)
+    stay = None if stay is None else np.asarray(stay, dtype=np.float64)
+    moved, new = best_labels(
+        (seg + base) * width, *args, salt, width, base=base, stay=stay
+    )
+    got = dict(zip(np.flatnonzero(moved).tolist(), new.tolist()))
+    assert got == reference_labels(seg, *args, salt, stay=stay)
+    return got
+
+
+# A weight of -1 zeroes the jitter scale ``1e-9 * (1 + w)``, so scores
+# built from it tie exactly and the tie rules decide.
+# (name, seg, nbr_lab, ws, cur, stay, dtype, expected moves)
+LABEL_CASES = [
+    ("empty rows", [], [], [], [0, 1], None, np.float64, {}),
+    (
+        "dominant label adopted",
+        [0, 0, 0], [3, 5, 3], [1.0, 1.5, 1.0], [0], None, np.float64, {0: 3},
+    ),
+    (
+        "exact score tie between labels: larger label wins",
+        [0, 0, 0], [2, 6, 4], [-1.0, -1.0, -3.0], [4], None, np.float64,
+        {0: 6},
+    ),
+    (
+        "exact score tie with the current label: kept",
+        [0, 0], [2, 6], [-1.0, -1.0], [2], None, np.float64, {},
+    ),
+    (
+        "the heaviest row is the current label: kept",
+        [0, 0, 0], [1, 4, 1], [1.0, 1.5, 1.0], [1], None, np.float64, {},
+    ),
+    (
+        "stay weight keeps the current label",
+        [0, 0], [1, 4], [1.0, 2.0], [1], [3.0], np.float64, {},
+    ),
+    (
+        "too little stay weight does not",
+        [0, 0], [1, 4], [1.0, 2.0], [1], [0.5], np.float64, {0: 4},
+    ),
+    # Weight 1 + stay 1 ties label 4's weight 2, so the jitter decides:
+    # label 5 hashes above label 4 for this node and salt, label 2 below.
+    (
+        "weight tie with the current label plus stay: its jitter keeps it",
+        [0, 0], [5, 4], [1.0, 2.0], [5], [1.0], np.float64, {},
+    ),
+    (
+        "weight tie with the current label plus stay: its jitter loses",
+        [0, 0], [2, 4], [1.0, 2.0], [2], [1.0], np.float64, {0: 4},
+    ),
+    (
+        "a node without rows (only a self-loop) keeps its label",
+        [0, 2], [5, 5], [1.0, 1.0], [0, 1, 2], None, np.float64,
+        {0: 5, 2: 5},
+    ),
+    (
+        "float32 weights",
+        [0, 0, 0, 1, 1], [3, 5, 3, 2, 7], [0.1, 0.3, 0.1, 0.7, 0.2], [0, 1],
+        None, np.float32, {0: 5, 1: 2},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,seg,nbr_lab,ws,cur,stay,dtype,expected",
+    LABEL_CASES, ids=[c[0] for c in LABEL_CASES],
+)
+def test_label_table(name, seg, nbr_lab, ws, cur, stay, dtype, expected):
+    assert run_labels(seg, nbr_lab, ws, cur, stay=stay, dtype=dtype) == expected
+
+
+def test_dyadic_weight_ties_go_to_the_jitter_not_the_label():
+    # Two labels exactly tied on weight: across salts each one wins
+    # sometimes, so the tie is broken per (node, label, salt).
+    winners = {
+        run_labels([0, 0], [2, 4], [0.5, 0.5], [0], salt=np.uint64(s))[0]
+        for s in range(1, 40)
+    }
+    assert winners == {2, 4}
+
+
+def test_label_base_offset_matches_local_positions():
+    args = ([0, 0, 1], [4, 6, 4], [0.5, 1.0, 1.0], [1, 2])
+    assert run_labels(*args, base=0) == run_labels(*args, base=5) == {0: 6, 1: 4}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("seed", range(3))
+def test_label_weighted_graph_matches_reference(dtype, seed):
+    # Dyadic weights and few labels: many labels tie exactly on weight.
+    graph = _dyadic_graph(seed=seed)
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 6, graph.n)
+    nodes = rng.permutation(graph.n)[:40]
+    seg, nbrs, ws = neighborhood_cache(graph).gather(nodes)
+    stay = rng.choice([0.0, 0.5, 1.0], size=nodes.size)
+    for st in (None, stay):
+        args = (labels[nbrs], ws.astype(dtype), nodes, labels[nodes])
+        moved, new = best_labels(seg * graph.n, *args, SALT, graph.n, stay=st)
+        got = dict(zip(np.flatnonzero(moved).tolist(), new.tolist()))
+        assert got == reference_labels(seg, *args, SALT, stay=st)
+        assert got  # the instance is not trivially quiet

@@ -5,7 +5,7 @@ import pytest
 
 from repro.community import PLP
 from repro.community._kernels import gather_neighborhoods
-from repro.community.plp import _hash_jitter
+from repro.community._moves import _hash_jitter
 from repro.graph import GraphBuilder, generators
 from repro.parallel.runtime import ParallelRuntime
 from repro.partition.compare import jaccard_index

@@ -8,7 +8,7 @@ import pytest
 from repro.community import PLP, EPP, ShardedPLP, make_detector, canonical_params
 from repro.community.sharded import _MERGE_SALT_OFFSET  # noqa: F401 - import guard
 from repro.graph import Graph, GraphBuilder, generators
-from repro.parallel.racecheck import canonical_labels
+from repro.parallel.racecheck import RACECHECK_ENV, canonical_labels
 from repro.partition.compare import jaccard_index
 
 
@@ -90,7 +90,7 @@ class TestBehaviour:
 
     def test_info_block(self):
         g = _rmat()
-        info = ShardedPLP(threads=8, seed=0, shards=3).run(g).info
+        info = ShardedPLP(threads=8, seed=0, shards=3, workers=1).run(g).info
         assert info["shards"] == 3
         assert info["partitioner"] == "contiguous"
         assert info["rounds"] and all("ghost_updates" in r for r in info["rounds"])
@@ -99,7 +99,9 @@ class TestBehaviour:
         assert info["backend"] == "inline"
         assert "merge" in info and info["merge"]["coarse_n"] > 0
 
-    def test_pooled_info_reports_backend_and_worker_peak(self):
+    def test_pooled_info_reports_backend_and_worker_peak(self, monkeypatch):
+        # Racecheck pins the rounds inline; this test checks the pool.
+        monkeypatch.delenv(RACECHECK_ENV, raising=False)
         g = _rmat()
         info = ShardedPLP(threads=8, seed=0, shards=2, workers=2).run(g).info
         assert info["backend"] == "process"

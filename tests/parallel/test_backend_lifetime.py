@@ -1,6 +1,6 @@
 """Backend-lifetime regressions a long-lived server would trip over daily.
 
-Three bugs, one test module:
+Four bugs, one test module:
 
 1. a backend used as a context manager stayed cached in the resolver, so
    the next ``resolve_backend(n)`` handed out a dead backend whose shared
@@ -8,7 +8,9 @@ Three bugs, one test module:
 2. a mid-flight ``BrokenProcessPool`` degraded the whole surviving batch
    to inline serial execution instead of restarting the pool once;
 3. a transient shared-memory probe failure was cached as ``False``
-   forever, silently pinning the process to serial.
+   forever, silently pinning the process to serial;
+4. pool workers kept the ``REPRO_*`` environment they were started with,
+   so a kernel policy set later never reached them.
 """
 
 from __future__ import annotations
@@ -178,3 +180,23 @@ def test_epp_reports_backend_degradation(monkeypatch):
     # And a run that never asked for workers stays silent.
     serial = EPP(threads=4, seed=1, ensemble_size=2, workers=1).run(graph)
     assert "backend_degraded" not in serial.info
+
+
+# -- bug 4: a REPRO_* policy set after the pool started must reach it ------
+def test_policy_set_after_pool_start_reaches_workers(clean_pools, monkeypatch):
+    from repro.community._kernels_numba import FALLBACK_ENV
+    from repro.parallel.racecheck import RACECHECK_ENV
+
+    graph, _ = generators.planted_partition(120, 4, 0.3, 0.02, seed=3)
+    monkeypatch.delenv(RACECHECK_ENV, raising=False)  # would pin EPP inline
+    monkeypatch.delenv(FALLBACK_ENV, raising=False)
+    backend = resolve_backend(2)
+    backend.map(os.getpid, [(), ()])  # workers start without the flag
+    monkeypatch.setenv(FALLBACK_ENV, "1")
+    runs = [
+        EPP(threads=4, seed=1, ensemble_size=2, workers=w, kernel_backend="numba")
+        .run(graph)
+        .labels.tobytes()
+        for w in (2, 1)
+    ]
+    assert runs[0] == runs[1]

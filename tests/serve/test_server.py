@@ -128,6 +128,34 @@ def test_error_responses_are_structured(server):
         assert client.ping()["pong"] is True
 
 
+# (name, op, fields): each must get a structured bad_request.
+HOSTILE = [
+    ("request line over the stream limit", "ping", {"pad": "x" * 70_000}),
+    ("graph not a string", "detect", {"graph": 5}),
+    ("seed not an integer", "detect", {"graph": "g", "seed": [1]}),
+    ("seed a boolean", "detect", {"graph": "g", "seed": True}),
+    ("params not an object", "detect", {"graph": "g", "params": [1]}),
+    ("algorithm not a string", "detect", {"graph": "g", "algorithm": 7}),
+    ("timeout not a number", "detect", {"graph": "g", "timeout": "soon"}),
+    ("path not a string", "load", {"graph": "h", "path": 3}),
+    ("compare seed not an integer", "compare",
+     {"graph": "g", "algorithms": ["plp"], "seed": "1"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name,op,fields", HOSTILE, ids=[case[0] for case in HOSTILE]
+)
+def test_hostile_requests_get_structured_errors(server, name, op, fields):
+    with ServeClient(socket_path=server.address) as client:
+        with pytest.raises(ServeError) as err:
+            client.request(op, **fields)
+        assert err.value.error_type == "bad_request"
+    # The server stays up for the next connection.
+    with ServeClient(socket_path=server.address) as client:
+        assert client.ping()["pong"] is True
+
+
 def test_stats_exposes_all_layers(server):
     with ServeClient(socket_path=server.address) as client:
         client.detect("g", algorithm="plp", seed=0)
