@@ -10,7 +10,7 @@ client sees, split by where the request lands in the serving stack —
 * ``serve_cache_hit`` — the exact request was answered before; the
   result cache replies without touching the pool;
 * ``serve_concurrent`` — ``concurrency`` client threads issue warm
-  requests at once (the queueing/batching path under load).
+  requests at once (the queueing/dispatch path under load).
 
 Every scenario reports p50/p99 over its request stream; the document
 carries ``cache_speedup`` (cold p50 / cache-hit p50), the number the

@@ -259,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--result-cache", type=int, default=256, help="cached payload count"
     )
     serve.add_argument(
-        "--batch-max", type=int, default=8, help="jobs per pool submission"
-    )
-    serve.add_argument(
         "--timeout", type=float, default=300.0, help="default per-request timeout (s)"
     )
     serve.add_argument(
@@ -512,7 +509,6 @@ def _cmd_serve(args) -> int:
         cache_dir=args.cache_dir,
         max_pending=args.max_pending,
         cache_size=args.result_cache,
-        batch_max=args.batch_max,
         default_timeout=args.timeout,
         log=lambda msg: print(f"[serve] {msg}", flush=True),
     )

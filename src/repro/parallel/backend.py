@@ -20,7 +20,8 @@ Design constraints, in order:
    (backend, graph); the :class:`SharedGraph` handle pickles as segment
    names + dtypes/shapes (a few hundred bytes), and workers map the same
    physical pages read-only. Worker-side materialization is cached per
-   process, so repeated tasks on the same graph attach exactly once.
+   process until the owner unlinks the segments, so repeated tasks on the
+   same graph attach exactly once.
 3. **No leaked segments.** Segment lifetime is refcounted on the owner
    side (:meth:`SharedGraph.acquire` / :meth:`SharedGraph.release`), every
    handle carries a ``weakref.finalize`` safety net, backends unlink all
@@ -123,10 +124,21 @@ def _close_segments(shms, unlink: bool) -> None:
                 pass
 
 
-#: Worker-process cache: first segment name -> materialized Graph. Keeps
-#: the attached SharedMemory objects alive for the worker's lifetime.
-_ATTACHED_GRAPHS: dict[str, Graph] = {}
-_ATTACHED_SEGMENTS: list[Any] = []
+def _unlinked(shm) -> bool:
+    """Whether the owner has unlinked an attached segment's name.
+
+    POSIX keeps the mapping alive after ``unlink``; the open descriptor
+    then counts no links. ``False`` where that cannot be told.
+    """
+    try:
+        return os.fstat(shm._fd).st_nlink == 0
+    except (AttributeError, OSError):
+        return False
+
+
+#: Worker-process cache: first segment name -> (materialized Graph, its
+#: attached SharedMemory objects), kept while the owner keeps the segments.
+_ATTACHED_GRAPHS: dict[str, tuple[Graph, list]] = {}
 
 
 class SharedGraph:
@@ -242,11 +254,20 @@ def _meta_nbytes(meta: dict) -> int:
 
 
 def _materialize_from_meta(meta: dict) -> Graph:
-    """Attach to the named segments and build the graph (cached per process)."""
+    """Attach to the named segments and build the graph (cached per process).
+
+    A new attachment first unmaps every cached graph whose segments the
+    owner has since unlinked (an evicted serve graph): nothing can reach
+    those names again, and their pages stay allocated while mapped.
+    """
     key = meta["arrays"][0][0]
     cached = _ATTACHED_GRAPHS.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
+    stale = [k for k, (_, shms) in _ATTACHED_GRAPHS.items() if _unlinked(shms[0])]
+    for name in stale:
+        shms = _ATTACHED_GRAPHS.pop(name)[1]  # the Graph's views die here
+        _close_segments(shms, unlink=False)
     bufs: list[np.ndarray] = []
     attached: list = []
     try:
@@ -267,8 +288,7 @@ def _materialize_from_meta(meta: dict) -> Graph:
         name=meta["name"],
         dtype_policy=meta.get("dtype_policy", "wide"),
     )
-    _ATTACHED_GRAPHS[key] = graph
-    _ATTACHED_SEGMENTS.extend(attached)
+    _ATTACHED_GRAPHS[key] = (graph, attached)
     return graph
 
 
@@ -593,7 +613,10 @@ class ProcessPoolBackend(ExecutionBackend):
         return handle
 
     # -- execution ------------------------------------------------------
-    def _submit(self, fn: Callable, task: tuple) -> Future:
+    def _submit(self, fn: Callable, task: tuple) -> tuple[Future, ProcessPoolExecutor]:
+        """Submit to the current pool, starting one if needed; return the
+        future and the pool it went to. A pool that broke under another
+        call gives a failed future, handled like a breakage seen here."""
         self._closed = False
         with self._lock:
             if self._pool is None:
@@ -601,7 +624,13 @@ class ProcessPoolBackend(ExecutionBackend):
                     max_workers=self.workers, initializer=_init_worker
                 )
                 self._pool_env = _repro_env()
-            return self._pool.submit(fn, *task)
+            pool = self._pool
+            try:
+                return pool.submit(fn, *task), pool
+            except BrokenProcessPool as exc:
+                future: Future = Future()
+                future.set_exception(exc)
+                return future, pool
 
     def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
         """Fan tasks out to the pool; unpicklable tasks run inline.
@@ -621,10 +650,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._pool.shutdown(wait=False)
                 self._pool = None
         slots: list[Future | _InlineResult] = []
+        pools: dict[int, ProcessPoolExecutor] = {}
         pending: dict[int, tuple] = {}
         for i, task in enumerate(tasks):
             if _picklable((fn, task)):
-                slots.append(self._submit(fn, task))
+                future, pools[i] = self._submit(fn, task)
+                slots.append(future)
                 pending[i] = task
             else:
                 slots.append(_InlineResult(fn, task))
@@ -635,28 +666,36 @@ class ProcessPoolBackend(ExecutionBackend):
                 results.append(slot.result())
                 continue
             except BrokenProcessPool:
-                self._discard_pool()
+                self._retire(pools[i], restart=not restarted)
             if not restarted:
                 # First breakage: resubmit every not-yet-collected pool
                 # task (this one included) on a fresh pool.
                 restarted = True
-                self.restarts += 1
                 for j in range(i, len(slots)):
-                    if j in pending and isinstance(slots[j], Future):
-                        slots[j] = self._submit(fn, pending[j])
+                    if j in pending:
+                        slots[j], pools[j] = self._submit(fn, pending[j])
                 try:
                     results.append(slots[i].result())
                     continue
                 except BrokenProcessPool:
-                    self._discard_pool()
+                    self._retire(pools[i], restart=False)
             results.append(_InlineResult(fn, pending[i]).result())
         return results
 
-    def _discard_pool(self) -> None:
+    def _retire(self, pool: ProcessPoolExecutor, restart: bool) -> None:
+        """Shut down a broken ``pool``; the next submit starts a fresh one.
+
+        Only a call that finds ``pool`` still current replaces it, and
+        counts a restart if ``restart``: a concurrent :meth:`map` that saw
+        the same breakage must not discard the fresh pool this one
+        resubmitted to (``cancel_futures`` would cancel its tasks).
+        """
         with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if self._pool is pool:
+                self._pool = None
+                if restart:
+                    self.restarts += 1
+        pool.shutdown(wait=False, cancel_futures=True)
 
     # -- lifetime -------------------------------------------------------
     def shutdown(self) -> None:

@@ -11,12 +11,14 @@ result cache — with labels byte-identical to a direct ``detect()`` call.
 Pieces (each its own module):
 
 * :class:`~repro.serve.registry.GraphRegistry` — pinned-graph registry:
-  hot graphs live as shm-resident ``SharedGraph`` handles with LRU
-  eviction to a ``.npz`` cache and lazy reload of cold graphs.
+  hot graphs live as shm-resident ``SharedGraph`` handles, leased to
+  the jobs that read them, with LRU eviction to a ``.npz`` cache and
+  lazy reload of cold graphs.
 * :class:`~repro.serve.jobs.JobQueue` — async front end over the
   persistent :class:`~repro.parallel.backend.ProcessPoolBackend`:
   bounded-queue backpressure, per-request timeout, cancellation of
-  never-started jobs, micro-batching, request coalescing, result cache.
+  never-started jobs, pipelined dispatch (one job per free pool
+  worker), request coalescing, result cache.
 * :mod:`~repro.serve.protocol` — the newline-delimited JSON wire format
   (and the exact byte-preserving label codec).
 * :class:`~repro.serve.server.DetectionServer` — the asyncio socket

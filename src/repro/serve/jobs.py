@@ -12,21 +12,25 @@ the blocking :class:`~repro.parallel.backend.ProcessPoolBackend`:
   on ``(graph_id, algorithm, canonical params, seed)``; repeats are
   answered without touching the pool. Detection is deterministic in that
   key, so a cached answer is byte-identical to a fresh one.
-* **Micro-batching** — the dispatcher drains up to ``batch_max`` queued
-  jobs and hands them to ``backend.map`` as one submission, so pool
-  round-trips amortize when traffic bursts.
+* **Pipelined dispatch** — up to one job per pool worker runs at once
+  (``resolve_backend(workers).workers`` slots, one when serial). The
+  dispatcher takes a free slot *before* it dequeues, so a job waits in
+  the queue until a worker can start it, and each job answers as soon as
+  its own detection returns.
 * **Timeout & cancellation** — :meth:`submit` enforces a per-request
   timeout; when the last waiter gives up on a job that has not started,
   the job is cancelled in place and never runs.
 
-The dispatcher runs detection in a worker thread (``run_in_executor``),
-so the event loop keeps serving pings and stats while the pool crunches.
+Each dispatch runs its detection in an executor thread
+(``run_in_executor``), so the event loop keeps serving pings and stats
+while the pool crunches. It leases its graph from the registry for the
+length of the pool call, so a concurrent dispatch's eviction cannot
+unlink the segments before the worker attaches them.
 """
 
 from __future__ import annotations
 
 import asyncio
-import traceback
 from collections import OrderedDict
 from typing import Any
 
@@ -72,18 +76,6 @@ def detect_payload(handle, algorithm: str, params: dict, seed: int) -> dict:
     }
 
 
-def _detect_payload_safe(handle, algorithm, params, seed) -> dict:
-    """Exception-isolating wrapper: one bad job must not sink its batch."""
-    try:
-        return {"ok": True, "payload": detect_payload(handle, algorithm, params, seed)}
-    except Exception as exc:
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "trace": traceback.format_exc(limit=8),
-        }
-
-
 class _Job:
     __slots__ = ("key", "graph_id", "algorithm", "params", "seed", "future",
                  "waiters", "started", "cancelled")
@@ -101,7 +93,7 @@ class _Job:
 
 
 class JobQueue:
-    """Batched, cached, backpressured front end over the process pool."""
+    """Pipelined, cached, backpressured front end over the process pool."""
 
     def __init__(
         self,
@@ -109,22 +101,24 @@ class JobQueue:
         workers: int | None = None,
         max_pending: int = 64,
         cache_size: int = 256,
-        batch_max: int = 8,
         default_timeout: float = 300.0,
     ) -> None:
         self.registry = registry
         self.workers = workers
         self.max_pending = int(max_pending)
         self.cache_size = int(cache_size)
-        self.batch_max = max(1, int(batch_max))
         self.default_timeout = float(default_timeout)
         self._queue: asyncio.Queue[_Job] | None = None
+        self._slots: asyncio.Semaphore | None = None
         self._inflight: dict[str, _Job] = {}
         self._cache: OrderedDict[str, dict] = OrderedDict()
         self._dispatcher: asyncio.Task | None = None
+        self._running: set[asyncio.Task] = set()
         self.stats: dict[str, int] = {
             "jobs": 0,
-            "batches": 0,
+            "batches": 0,  # dispatches: one job each
+            "running": 0,
+            "peak_running": 0,
             "cache_hits": 0,
             "cache_misses": 0,
             "coalesced": 0,
@@ -140,10 +134,12 @@ class JobQueue:
         if self._dispatcher is not None:
             return
         self._queue = asyncio.Queue(maxsize=self.max_pending)
+        self._slots = asyncio.Semaphore(resolve_backend(self.workers).workers)
         self._dispatcher = asyncio.create_task(self._drain(), name="jobqueue-drain")
 
     async def close(self) -> None:
-        """Stop dispatching; fail every job that has not completed."""
+        """Stop dispatching; fail every job that has not completed, then
+        wait for the dispatches in flight to hand back their graph leases."""
         if self._dispatcher is not None:
             self._dispatcher.cancel()
             try:
@@ -155,6 +151,7 @@ class JobQueue:
             if not job.future.done():
                 job.future.set_exception(RuntimeError("job queue closed"))
         self._inflight.clear()
+        await asyncio.gather(*self._running, return_exceptions=True)
 
     # -- submission -----------------------------------------------------
     async def submit(
@@ -240,60 +237,56 @@ class JobQueue:
 
     # -- dispatching ----------------------------------------------------
     async def _drain(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
+        assert self._queue is not None and self._slots is not None
         while True:
+            await self._slots.acquire()
             job = await self._queue.get()
-            batch = [job]
-            while len(batch) < self.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            batch = [j for j in batch if not j.cancelled]
-            if not batch:
-                continue
-            for j in batch:
-                j.started = True
-            self.stats["batches"] += 1
-            outcomes = await loop.run_in_executor(None, self._run_batch, batch)
-            for j, outcome in zip(batch, outcomes):
-                if self._inflight.get(j.key) is j:
-                    del self._inflight[j.key]
-                if j.future.done():  # pragma: no cover - defensive
-                    continue
-                if outcome.get("ok"):
-                    payload = outcome["payload"]
-                    self._cache_put(j.key, payload)
-                    j.future.set_result(payload)
-                else:
-                    self.stats["errors"] += 1
-                    j.future.set_exception(
-                        RuntimeError(outcome.get("error", "detection failed"))
-                    )
+            while job.cancelled:
+                job = await self._queue.get()
+            job.started = True
+            task = asyncio.create_task(self._dispatch(job))
+            self._running.add(task)
+            task.add_done_callback(self._running.discard)
 
-    def _run_batch(self, batch: list[_Job]) -> list[dict]:
-        """Blocking half of the dispatcher (runs in an executor thread):
-        pin graphs, fan the batch out to the pool, collect outcomes."""
-        backend = resolve_backend(self.workers)
-        outcomes: list[dict | None] = [None] * len(batch)
-        tasks: list[tuple] = []
-        slots: list[int] = []
-        for i, job in enumerate(batch):
-            try:
-                handle = self.registry.share(job.graph_id)
-            except Exception as exc:
-                outcomes[i] = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-                continue
-            tasks.append((handle, job.algorithm, job.params, job.seed))
-            slots.append(i)
-        if tasks:
-            for i, outcome in zip(slots, backend.map(_detect_payload_safe, tasks)):
-                outcomes[i] = outcome
-        return [
-            o if o is not None else {"ok": False, "error": "internal: lost outcome"}
-            for o in outcomes
-        ]
+    async def _dispatch(self, job: _Job) -> None:
+        """Run one job on the slot it holds and resolve its future."""
+        stats = self.stats
+        stats["batches"] += 1
+        stats["running"] += 1
+        stats["peak_running"] = max(stats["peak_running"], stats["running"])
+        loop = asyncio.get_running_loop()
+        try:
+            payload = await loop.run_in_executor(None, self._run, job)
+            error = None
+        except Exception as exc:  # the job fails alone
+            payload, error = None, exc
+        finally:
+            stats["running"] -= 1
+            self._slots.release()
+            if self._inflight.get(job.key) is job:
+                del self._inflight[job.key]
+        if job.future.done():  # close() failed it meanwhile
+            return
+        if error is None:
+            self._cache_put(job.key, payload)
+            job.future.set_result(payload)
+        else:
+            stats["errors"] += 1
+            job.future.set_exception(
+                RuntimeError(f"{type(error).__name__}: {error}")
+            )
+
+    def _run(self, job: _Job) -> dict:
+        """Blocking half of a dispatch (runs in an executor thread): lease
+        the graph, detect on the pool, hand the lease back."""
+        handle = self.registry.share(job.graph_id)
+        try:
+            [payload] = resolve_backend(self.workers).map(
+                detect_payload, [(handle, job.algorithm, job.params, job.seed)]
+            )
+        finally:
+            self.registry.release(handle)
+        return payload
 
     def _cache_put(self, key: str, payload: dict) -> None:
         self._cache[key] = payload

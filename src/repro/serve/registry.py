@@ -14,12 +14,18 @@ Lifetime contract:
 * ``pin()`` / ``share()`` make an entry **hot**: load it if cold, copy
   its CSR arrays into shared memory once, and mark it most-recently-used.
   Pinning beyond ``capacity`` evicts the LRU hot entry.
-* Evicting releases the entry's shm segments immediately; if the entry
-  has no on-disk source to reload from (or only a slow text one), its
-  CSR is first written to ``<cache_dir>/<graph_id>.npz`` so the next pin
-  is a binary reload, bit-identical to the evicted graph.
-* ``close()`` evicts everything. After it, zero registry-owned shm
-  segments remain — the server's shutdown leak-check relies on this.
+* ``share()`` also *leases* the shm handle to its caller, who hands it
+  back with ``release()`` once the pool task that reads it has returned.
+  An eviction meanwhile cannot pull the segments out from under a worker
+  that has yet to attach them.
+* Evicting drops the registry's own reference to the entry's shm
+  segments; they are unlinked as soon as no lease holds them. If the
+  entry has no on-disk source to reload from (or only a slow text one),
+  its CSR is first written to ``<cache_dir>/<graph_id>.npz`` so the next
+  pin is a binary reload, bit-identical to the evicted graph.
+* ``close()`` evicts everything. Once every lease is back, zero
+  registry-owned shm segments remain — the server's shutdown leak-check
+  relies on this.
 
 All methods are thread-safe: the job queue touches the registry from
 executor threads while protocol handlers read it from the event loop.
@@ -136,20 +142,29 @@ class GraphRegistry:
             return entry.graph
 
     def share(self, graph_id: str) -> "SharedGraph | Graph":
-        """Pin and return the handle a detection task should receive.
+        """Pin ``graph_id`` and lease the handle a detection task receives.
 
         The shm-resident :class:`SharedGraph` when shared memory works
-        (pool workers attach zero-copy); the plain graph otherwise (the
-        serial fallback path executes inline and needs no shipping).
+        (pool workers attach zero-copy), with a reference taken for the
+        caller, who returns it with :meth:`release`; the plain graph
+        otherwise (the serial fallback path executes inline and needs no
+        shipping).
         """
         with self._lock:
             graph = self.pin(graph_id)
-            entry = self._entries[graph_id]
-            return entry.shared if entry.shared is not None else graph
+            shared = self._entries[graph_id].shared
+            return shared.acquire() if shared is not None else graph
+
+    def release(self, handle: "SharedGraph | Graph") -> None:
+        """Return a lease taken by :meth:`share` (no-op for a plain graph)."""
+        if isinstance(handle, SharedGraph):
+            with self._lock:
+                handle.release()
 
     def evict(self, graph_id: str) -> None:
-        """Release a hot entry's shm segments, spilling to ``.npz`` first
-        if the entry has no fast on-disk copy to reload from."""
+        """Drop a hot entry's shm segments (kept until their leases are
+        returned), spilling to ``.npz`` first if the entry has no fast
+        on-disk copy to reload from."""
         with self._lock:
             entry = self._get(graph_id)
             if not entry.hot:

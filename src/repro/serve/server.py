@@ -64,7 +64,6 @@ class DetectionServer:
         cache_dir: str | None = None,
         max_pending: int = 64,
         cache_size: int = 256,
-        batch_max: int = 8,
         default_timeout: float = 300.0,
         log: Callable[[str], None] | None = None,
     ) -> None:
@@ -80,13 +79,13 @@ class DetectionServer:
             workers=workers,
             max_pending=max_pending,
             cache_size=cache_size,
-            batch_max=batch_max,
             default_timeout=default_timeout,
         )
         self._log = log or (lambda msg: None)
         self._server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
         self._stopped = False
+        self._stop_task: asyncio.Task | None = None
         self._started_at: float | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self.stats: dict[str, int] = {"connections": 0, "requests": 0, "errors": 0}
@@ -129,6 +128,11 @@ class DetectionServer:
         """Block until :meth:`stop` (a ``shutdown`` request counts)."""
         assert self._stopping is not None, "start() first"
         await self._stopping.wait()
+
+    def request_stop(self) -> None:
+        """Start :meth:`stop` as a task on the running loop (once)."""
+        if not self._stopped and self._stop_task is None:
+            self._stop_task = asyncio.get_running_loop().create_task(self.stop())
 
     async def stop(self) -> None:
         """Graceful shutdown: close socket, queue, registry, pool."""
@@ -210,7 +214,7 @@ class DetectionServer:
             if op == "shutdown":
                 # Answer first, then tear down (the reply is already
                 # queued on the transport when stop() closes it).
-                asyncio.get_running_loop().create_task(self.stop())
+                self.request_stop()
             return ok_response(op, result, request_id)
         except ProtocolError as exc:
             self.stats["errors"] += 1
@@ -275,9 +279,9 @@ class DetectionServer:
     async def _compare(self, message: dict) -> dict[str, Any]:
         """Run several algorithms on one graph; return the summary table.
 
-        The detect jobs are submitted concurrently, so they batch into
-        the pool together; labels are omitted from the rows (a compare is
-        a table, not a partition download).
+        The detect jobs are submitted concurrently, so they run side by
+        side on free pool workers; labels are omitted from the rows (a
+        compare is a table, not a partition download).
         """
         graph_id = self._field(message, "graph")
         algorithms = message.get("algorithms") or ["plp", "plm"]
@@ -364,13 +368,19 @@ class ServerHandle:
         return self.server.address
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Stop the server and join its thread (idempotent)."""
+        """Stop the server and join its thread (idempotent).
+
+        The thread ends only once :meth:`DetectionServer.stop` has
+        finished its cleanup, so joining it is the wait. A server that a
+        client's ``shutdown`` request already stopped, or is stopping, is
+        just joined: its loop may be closed, or close before a second
+        stop could run.
+        """
         if self._thread is None:
             return
-        future = asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
         try:
-            future.result(timeout)
-        except Exception:
+            self._loop.call_soon_threadsafe(self.server.request_stop)
+        except RuntimeError:  # the loop is closed: the server stopped
             pass
         self._thread.join(timeout)
         self._thread = None

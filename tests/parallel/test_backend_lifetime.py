@@ -1,6 +1,6 @@
 """Backend-lifetime regressions a long-lived server would trip over daily.
 
-Four bugs, one test module:
+Six bugs, one test module:
 
 1. a backend used as a context manager stayed cached in the resolver, so
    the next ``resolve_backend(n)`` handed out a dead backend whose shared
@@ -10,13 +10,22 @@ Four bugs, one test module:
 3. a transient shared-memory probe failure was cached as ``False``
    forever, silently pinning the process to serial;
 4. pool workers kept the ``REPRO_*`` environment they were started with,
-   so a kernel policy set later never reached them.
+   so a kernel policy set later never reached them;
+5. two concurrent ``map`` calls that saw one breakage both restarted the
+   pool, the second discarding the fresh pool the first resubmitted to;
+6. workers kept every graph they ever attached mapped, also after the
+   owner unlinked its segments.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import threading
+import time
+
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -27,6 +36,7 @@ from repro.graph import generators
 from repro.parallel.backend import (
     ProcessPoolBackend,
     SerialBackend,
+    SharedGraph,
     materialize,
     resolve_backend,
     shared_memory_available,
@@ -200,3 +210,90 @@ def test_policy_set_after_pool_start_reaches_workers(clean_pools, monkeypatch):
         for w in (2, 1)
     ]
     assert runs[0] == runs[1]
+
+
+# -- bug 5: two maps racing on one breakage restart the pool once ---------
+def _slow_kill_once(flag_path: str, value: int) -> int:
+    """Sleep, then SIGKILL the hosting worker unless a task already did."""
+    time.sleep(0.2)
+    try:
+        os.close(os.open(flag_path, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return value
+    os.kill(os.getpid(), signal.SIGKILL)
+    return value  # pragma: no cover - the worker is dead
+
+
+def test_concurrent_maps_restart_broken_pool_once(clean_pools, tmp_path):
+    flag = os.fspath(tmp_path / "killed-once")
+    backend = ProcessPoolBackend(2)
+    start = threading.Barrier(2, timeout=30)
+    results: dict[int, list] = {}
+    errors: list[Exception] = []
+
+    def caller(base: int) -> None:
+        start.wait()
+        try:
+            tasks = [(flag, base + i) for i in range(3)]
+            results[base] = backend.map(_slow_kill_once, tasks)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=caller, args=(base,)) for base in (0, 10)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert results == {0: [0, 1, 2], 10: [10, 11, 12]}
+        assert backend.restarts == 1
+    finally:
+        backend.shutdown()
+
+
+def test_map_meeting_a_pool_broken_under_another_call_restarts_it(clean_pools):
+    backend = ProcessPoolBackend(2)
+    try:
+        assert backend.map(abs, [(-1,)]) == [1]  # starts the pool
+        # Another caller's task breaks the pool, and that caller has not
+        # retired it yet: this map's submit meets the broken pool.
+        killed = backend._pool.submit(_kill_any_worker, "x")
+        with pytest.raises(BrokenProcessPool):
+            killed.result(timeout=60)
+        assert backend.map(abs, [(-7,)]) == [7]
+        assert backend.restarts == 1
+    finally:
+        backend.shutdown()
+
+
+# -- bug 6: a new attachment unmaps graphs whose owner unlinked them ------
+def _mapped(name: str) -> bool:
+    with open("/proc/self/maps") as maps:
+        return any(name in line for line in maps)
+
+
+def test_new_attachment_unmaps_graphs_the_owner_unlinked(clean_pools):
+    graphs = [generators.erdos_renyi(40, 0.2, seed=s) for s in (1, 2)]
+    first, second = (SharedGraph.create(g) for g in graphs)
+    key, live = first.segment_names[0], second.segment_names[0]
+    try:
+        # Unpickled handles attach as a pool worker's would.
+        attached = materialize(pickle.loads(pickle.dumps(first)))
+        assert attached.m == graphs[0].m and key in B._ATTACHED_GRAPHS
+        del attached
+        first.release()  # the owner unlinks, as an eviction does
+        assert key in B._ATTACHED_GRAPHS  # nothing prunes until an attach
+        materialize(pickle.loads(pickle.dumps(second)))
+        assert key not in B._ATTACHED_GRAPHS
+        assert live in B._ATTACHED_GRAPHS  # live graphs stay cached
+        if os.path.exists("/proc/self/maps"):
+            assert not _mapped(key)  # really unmapped, not just forgotten
+            assert _mapped(live)
+    finally:
+        first.release()
+        second.release()
+        entry = B._ATTACHED_GRAPHS.pop(live, None)
+        if entry is not None:
+            B._close_segments(entry[1], unlink=False)

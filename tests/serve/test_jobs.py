@@ -1,17 +1,28 @@
-"""JobQueue: caching, coalescing, backpressure, timeouts, error isolation."""
+"""JobQueue: caching, coalescing, backpressure, timeouts, error isolation,
+pipelined dispatch and graph leases."""
 
 from __future__ import annotations
 
 import asyncio
+import glob
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.community import make_detector
 from repro.graph import generators
+from repro.graph import io as graph_io
+from repro.parallel.backend import resolve_backend, shared_memory_available
 from repro.serve.jobs import JobQueue, JobTimeout, QueueFull
 from repro.serve.protocol import decode_labels
 from repro.serve.registry import GraphRegistry
+
+needs_shm = pytest.mark.skipif(
+    not shared_memory_available(), reason="pipelining needs a process pool"
+)
 
 
 @pytest.fixture
@@ -152,8 +163,8 @@ def test_timeout_raises_job_timeout_and_cancels_unstarted(graph):
 
 
 def test_failing_job_reports_error_not_batch_loss(graph):
-    """A job that raises inside the worker fails alone; a sibling in the
-    same batch still completes."""
+    """A job that raises inside the worker fails alone; a sibling
+    submitted beside it still completes."""
 
     async def body(queue):
         bad = queue.submit("g", "plm", {"gamma": float("nan")}, seed=0)
@@ -161,7 +172,7 @@ def test_failing_job_reports_error_not_batch_loss(graph):
         results = await asyncio.gather(bad, good, return_exceptions=True)
         return results, dict(queue.stats)
 
-    results, stats = _run(_with_queue(graph, body, batch_max=2))
+    results, stats = _run(_with_queue(graph, body))
     bad, good = results
     # NaN gamma either fails loudly (RuntimeError from the worker) or
     # produces a partition; either way the good job must succeed.
@@ -179,3 +190,197 @@ def test_label_payload_roundtrip_is_byte_exact(graph):
     served = decode_labels(payload["labels"])
     assert served.dtype == direct.dtype
     np.testing.assert_array_equal(served, direct)
+
+
+# -- pipelined dispatch: one job per free pool worker -----------------------
+def _gate_runs(queue, gate):
+    """Hold every dispatch in its executor thread until ``gate`` opens;
+    returns the list of seeds whose dispatch began."""
+    ran: list[int] = []
+    run = queue._run
+
+    def gated(job):
+        ran.append(job.seed)
+        assert gate.wait(30), "gate never opened"
+        return run(job)
+
+    queue._run = gated
+    return ran
+
+
+async def _until(predicate, limit=10.0):
+    deadline = asyncio.get_running_loop().time() + limit
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition not reached"
+        await asyncio.sleep(0.005)
+
+
+@needs_shm
+def test_two_jobs_run_at_once_on_two_workers(graph):
+    async def body():
+        with GraphRegistry(capacity=4) as registry:
+            registry.add("g", graph)
+            queue = JobQueue(registry, workers=2)
+            await queue.start()
+            both = threading.Barrier(2, timeout=30)
+            run = queue._run
+
+            def together(job):  # passes only if both jobs run at once
+                both.wait()
+                return run(job)
+
+            queue._run = together
+            try:
+                payloads = await asyncio.gather(
+                    queue.submit("g", "plp", seed=0), queue.submit("g", "plp", seed=1)
+                )
+            finally:
+                await queue.close()
+            return payloads, dict(queue.stats)
+
+    payloads, stats = _run(body())
+    assert stats["peak_running"] == 2
+    assert stats["batches"] == stats["jobs"] == 2
+    assert stats["running"] == 0
+    for seed, payload in enumerate(payloads):
+        direct = make_detector("plp", seed=seed).run(graph).partition.labels
+        assert decode_labels(payload["labels"]).tobytes() == direct.tobytes()
+
+
+@needs_shm
+def test_job_queued_behind_busy_slots_is_cancelled_on_timeout(graph):
+    async def body():
+        with GraphRegistry(capacity=4) as registry:
+            registry.add("g", graph)
+            queue = JobQueue(registry, workers=2)
+            await queue.start()
+            gate = threading.Event()
+            ran = _gate_runs(queue, gate)
+            try:
+                busy = [
+                    asyncio.ensure_future(queue.submit("g", "plp", seed=s))
+                    for s in (0, 1)
+                ]
+                await _until(lambda: queue.stats["running"] == 2)
+                with pytest.raises(JobTimeout):
+                    await queue.submit("g", "plp", seed=2, timeout=0.05)
+                gate.set()
+                await asyncio.gather(*busy)
+                await asyncio.sleep(0.05)  # a wrongly dispatched job would start
+            finally:
+                gate.set()
+                await queue.close()
+            return ran, dict(queue.stats)
+
+    ran, stats = _run(body())
+    assert sorted(ran) == [0, 1]
+    assert stats["cancelled"] == 1 and stats["timeouts"] == 1
+    assert stats["batches"] == 2
+
+
+@needs_shm
+def test_close_fails_inflight_waiter_promptly_without_leaking_shm(graph):
+    before = set(glob.glob("/dev/shm/*"))
+
+    async def body():
+        registry = GraphRegistry(capacity=4)
+        registry.add("g", graph)
+        queue = JobQueue(registry, workers=2)
+        await queue.start()
+        gate = threading.Event()
+        share = registry.share
+
+        def gated_share(graph_id):  # holds the lease while it waits
+            handle = share(graph_id)
+            assert gate.wait(30), "gate never opened"
+            return handle
+
+        registry.share = gated_share
+        try:
+            waiter = asyncio.ensure_future(queue.submit("g", "plm", seed=0))
+            await _until(lambda: queue.stats["running"] == 1)
+            closing = asyncio.ensure_future(queue.close())
+            with pytest.raises(RuntimeError, match="job queue closed"):
+                await asyncio.wait_for(waiter, 5.0)
+            # close() waits for the dispatch in flight to return its lease.
+            assert not closing.done()
+            gate.set()
+            await asyncio.wait_for(closing, 60.0)
+            assert queue.stats["running"] == 0
+        finally:
+            gate.set()
+            await queue.close()
+            registry.close()
+
+    _run(body())
+    leaked = set(glob.glob("/dev/shm/*")) - before
+    assert not leaked, f"leaked shm segments: {leaked}"
+
+
+@needs_shm
+def test_inflight_graph_survives_eviction_by_concurrent_job(tmp_path):
+    """Capacity 1 and two graphs: sharing the second graph evicts the
+    first while its job is still on the way to a worker."""
+    graphs = [
+        generators.planted_partition(200, 4, 0.3, 0.02, seed=s)[0] for s in (5, 6)
+    ]
+
+    async def body():
+        with GraphRegistry(capacity=1) as registry:
+            for i, g in enumerate(graphs):
+                path = os.fspath(tmp_path / f"g{i}.npz")
+                graph_io.save_npz(g, path)
+                registry.add(f"g{i}", path)
+            queue = JobQueue(registry, workers=2)
+            await queue.start()
+            try:
+                return await asyncio.gather(
+                    queue.submit("g0", "plp", seed=0), queue.submit("g1", "plp", seed=0)
+                )
+            finally:
+                await queue.close()
+
+    payloads = _run(body())
+    for g, payload in zip(graphs, payloads):
+        direct = make_detector("plp", seed=0).run(g).partition.labels
+        assert decode_labels(payload["labels"]).tobytes() == direct.tobytes()
+
+
+@needs_shm
+def test_leases_hold_under_many_racing_evictions(tmp_path):
+    """More pool workers than cores, four graphs through one hot slot and
+    a short switch interval: every job still reads its own graph, and
+    every segment is unlinked once the queue and registry close."""
+    graphs = [
+        generators.planted_partition(200, 4, 0.3, 0.02, seed=s)[0] for s in range(4)
+    ]
+    before = set(glob.glob("/dev/shm/*"))
+
+    async def body():
+        with GraphRegistry(capacity=1) as registry:
+            for i, g in enumerate(graphs):
+                path = os.fspath(tmp_path / f"g{i}.npz")
+                graph_io.save_npz(g, path)
+                registry.add(f"g{i}", path)
+            queue = JobQueue(registry, workers=4)
+            await queue.start()
+            try:
+                return await asyncio.gather(
+                    *(queue.submit(f"g{i % 4}", "plp", seed=i // 4) for i in range(12))
+                ), dict(queue.stats)
+            finally:
+                await queue.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        payloads, stats = _run(body())
+    finally:
+        sys.setswitchinterval(interval)
+        resolve_backend(4).shutdown()
+    assert stats["errors"] == 0 and stats["peak_running"] >= 2
+    for i, payload in enumerate(payloads):
+        direct = make_detector("plp", seed=i // 4).run(graphs[i % 4]).partition.labels
+        assert decode_labels(payload["labels"]).tobytes() == direct.tobytes()
+    leaked = set(glob.glob("/dev/shm/*")) - before
+    assert not leaked, f"leaked shm segments: {leaked}"

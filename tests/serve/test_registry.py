@@ -31,6 +31,10 @@ def _shm_listing():
     return set(glob.glob("/dev/shm/*"))
 
 
+def _shm_listing_names():
+    return {os.path.basename(path) for path in _shm_listing()}
+
+
 def test_add_path_stays_cold(graph_path):
     with GraphRegistry(capacity=2) as reg:
         row = reg.add("pp", graph_path)
@@ -96,10 +100,29 @@ def test_share_returns_materializable_handle(graph):
     with GraphRegistry(capacity=2) as reg:
         reg.add("a", graph)
         handle = reg.share("a")
-        if shared_memory_available():
-            assert isinstance(handle, SharedGraph)
-        got = materialize(handle)
-        np.testing.assert_array_equal(got.indices, graph.indices)
+        try:
+            if shared_memory_available():
+                assert isinstance(handle, SharedGraph)
+            got = materialize(handle)
+            np.testing.assert_array_equal(got.indices, graph.indices)
+        finally:
+            reg.release(handle)
+
+
+def test_shared_lease_outlives_eviction(graph):
+    """An eviction drops only the registry's reference: the segments a
+    job leased stay linked until the job hands the lease back."""
+    if not shared_memory_available():
+        pytest.skip("no shared memory on this host")
+    with GraphRegistry(capacity=1) as reg:
+        reg.add("a", graph)
+        handle = reg.share("a")
+        names = set(handle.segment_names)
+        reg.add("b", graph)  # capacity 1: evicts "a"
+        assert reg.describe("a")["state"] == "cold"
+        assert names <= _shm_listing_names()
+        reg.release(handle)
+        assert not names & _shm_listing_names()
 
 
 def test_close_releases_all_segments(graph):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import glob
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -180,7 +181,10 @@ def test_stats_enumerates_factory_algorithms(server):
     assert "slouvain" in stats["algorithms"]
 
 
-def test_shutdown_op_stops_server_and_releases_shm(tmp_path, graph):
+def _stop_after_shutdown_op(tmp_path, graph, delay: float) -> None:
+    """A client's shutdown request, then ``handle.stop()`` after ``delay``:
+    the stop just joins the stopping server, whether its loop is still
+    closing or already closed, and leaves nothing behind."""
     before = set(glob.glob("/dev/shm/*"))
     sock = os.fspath(tmp_path / "s.sock")
     handle = serve_in_thread(socket_path=sock, workers=2)
@@ -188,10 +192,21 @@ def test_shutdown_op_stops_server_and_releases_shm(tmp_path, graph):
     with ServeClient(socket_path=sock) as client:
         client.detect("g", algorithm="plp", seed=0)
         assert client.shutdown()["stopping"] is True
+    time.sleep(delay)
+    t0 = time.perf_counter()
     handle.stop()  # idempotent join
+    assert time.perf_counter() - t0 < 5.0
     assert not os.path.exists(sock)  # socket unlinked
     leaked = set(glob.glob("/dev/shm/*")) - before
     assert not leaked, f"leaked shm segments: {leaked}"
+
+
+def test_shutdown_op_stops_server_and_releases_shm(tmp_path, graph):
+    _stop_after_shutdown_op(tmp_path, graph, delay=0.0)
+
+
+def test_stop_after_server_stopped_itself(tmp_path, graph):
+    _stop_after_shutdown_op(tmp_path, graph, delay=0.5)
 
 
 def test_tcp_endpoint_works(graph):
