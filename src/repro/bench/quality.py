@@ -28,11 +28,11 @@ quality numbers in a committed document are exactly reproducible.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.bench.wallclock import _entry, _time_best
 from repro.community import EPP, OLP, PLM, PLMR, PLP, Grappolo, ShardedPLP, SyncLouvain
 from repro.community.dplp import DynamicPLP
 from repro.graph.csr import Graph
@@ -140,28 +140,26 @@ def run_quality_suite(
     entries: list[dict[str, Any]] = []
     for category, size, graph, truth in quality_graphs(preset):
         for alg, build in DETECTORS.items():
-            best_wall = float("inf")
-            result = None
-            for _ in range(max(1, repeats)):
-                detector = build(threads, seed)
-                t0 = time.perf_counter()
-                result = detector.run(graph)
-                best_wall = min(best_wall, time.perf_counter() - t0)
+            last: dict[str, Any] = {}
+
+            def run() -> None:
+                last["result"] = build(threads, seed).run(graph)
+
+            wall = _time_best(run, max(1, repeats), warmup=0)
+            result = last["result"]
             labels = result.partition.labels
-            entry: dict[str, Any] = {
-                "name": f"{alg.lower()}_quality",
-                "graph": graph.name,
-                "size": size,
-                "n": int(graph.n),
-                "m": int(graph.m),
-                "repeats": int(max(1, repeats)),
-                "wall_s": float(best_wall),
-                "algorithm": alg,
-                "category": category,
-                "sim_time_s": float(result.timing.total),
-                "modularity": float(modularity(graph, labels)),
-                "communities": int(np.unique(labels).size),
-            }
+            entry = _entry(
+                f"{alg.lower()}_quality",
+                graph,
+                size,
+                max(1, repeats),
+                wall,
+                algorithm=alg,
+                category=category,
+                sim_time_s=float(result.timing.total),
+                modularity=float(modularity(graph, labels)),
+                communities=int(np.unique(labels).size),
+            )
             if truth is not None:
                 entry["nmi"] = float(
                     normalized_mutual_information(labels, truth)

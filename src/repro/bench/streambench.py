@@ -1,8 +1,9 @@
 """Streaming-detection benchmark: sustained events/s on an evolving graph.
 
 The dynamic path's wall-clock suite (``BENCH_stream.json``, emitted by
-``python -m repro.bench.wallclock stream``). A preset defines two
-instances and drives timestamped edge batches through them:
+``python -m repro.bench.wallclock stream`` in that module's document
+schema). A preset defines three instances and drives timestamped edge
+batches through them:
 
 * an **R-MAT instance** under add/remove churn exercises the batched
   edit path (``dyn_apply_events`` events/s) plus the file-streaming
@@ -44,6 +45,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.bench.wallclock import _entry, _time_best
 from repro.community.dplm import DynamicPLM
 from repro.community.dplp import DynamicPLP
 from repro.community.plm import PLM
@@ -343,23 +345,6 @@ def planted_churn_batches(
 # ----------------------------------------------------------------------
 # Suite entries
 # ----------------------------------------------------------------------
-def _entry(
-    name: str, graph: Graph, size: str, repeats: int, wall_s: float, **extra
-) -> dict[str, Any]:
-    """Benchmark record in the wallclock entry schema."""
-    out: dict[str, Any] = {
-        "name": name,
-        "graph": graph.name,
-        "size": size,
-        "n": int(graph.n),
-        "m": int(graph.m),
-        "repeats": int(repeats),
-        "wall_s": float(wall_s),
-    }
-    out.update(extra)
-    return out
-
-
 def _graphs_identical(a: Graph, b: Graph) -> bool:
     """Byte-identity of two CSR graphs (dtypes and values)."""
     return (
@@ -589,18 +574,6 @@ def _dplm_ab_entry(
         batches=len(batches),
         incremental_batches=incremental,
     )
-
-
-def _time_best(fn, repeats: int, warmup: int = 1) -> float:
-    """Best-of-``repeats`` wall time of ``fn`` (after ``warmup`` calls)."""
-    for _ in range(warmup):
-        fn()
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 # ----------------------------------------------------------------------

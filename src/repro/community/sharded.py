@@ -69,6 +69,8 @@ from repro.parallel.backend import (
     _close_segments,
     attach_graph_uncached,
     default_workers,
+    peak_rss_mb,
+    reset_peak_rss,
     resolve_backend,
     shm_degradation,
 )
@@ -89,27 +91,6 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # ----------------------------------------------------------------------
 # Worker-side helpers (module-level: picklable, pool-importable)
 # ----------------------------------------------------------------------
-def _reset_self_peak() -> None:
-    """Reset this process's VmHWM to its current RSS (Linux; best effort)."""
-    try:
-        with open("/proc/self/clear_refs", "w") as fh:
-            fh.write("5")
-    except OSError:  # pragma: no cover - non-Linux
-        pass
-
-
-def _read_self_peak_mb() -> float | None:
-    """This process's VmHWM in MB (None when /proc is unavailable)."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return float(line.split()[1]) / 1024.0
-    except OSError:  # pragma: no cover - non-Linux
-        pass
-    return None
-
-
 #: One-slot shard attachment cache, per worker process: a worker serving
 #: round tasks holds the pages of at most ONE shard — re-dispatch to the
 #: same shard is free, switching shards evicts (munmaps) the old one.
@@ -269,7 +250,7 @@ def _round_task(
     The shard CSR stays in the one-slot cache for the next round; the
     (tiny) state attachment is opened and closed per task.
     """
-    _reset_self_peak()
+    reset_peak_rss()
     if fail:
         raise RuntimeError("injected shard-worker failure (debug hook)")
     graph, to_global = _attach_shard(graph_handle, aux_handle)
@@ -288,7 +269,7 @@ def _round_task(
     )
     state = None  # drop the views before close() so the pages unmap
     state_handle.close()
-    return out + (sub, _read_self_peak_mb())
+    return out + (sub, peak_rss_mb())
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +491,7 @@ class ShardedPLP(CommunityDetector):
             "merge": merge_info,
         }
         if worker_peak is not None:
-            info["worker_peak_rss_mb"] = round(worker_peak, 1)
+            info["worker_peak_rss_mb"] = worker_peak
         requested = default_workers() if self.workers is None else self.workers
         degraded = shm_degradation()
         if requested > 1 and degraded is not None:

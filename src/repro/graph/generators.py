@@ -263,8 +263,9 @@ def _rmat_sample(
 
     One uint16 draw advances *two* levels of the quadrant descent through
     the packed LUT (one gather per round instead of per-level masking),
-    which is what makes fig9-class edge counts feasible: ~86ns/edge on the
-    benchmark box versus ~9us/edge for the scalar descent in
+    which is what makes fig9-class edge counts feasible: the historical
+    ``rmat_gen_ab`` entry of ``BENCH_scale.json`` (2^20 x 12 R-MAT, 1-CPU
+    x86-64 VM) has it 125x faster than the scalar descent in
     ``repro.graph.reference.rmat_sample_loop``.
     """
     lut2, lut1 = _rmat_luts(a, b, c, d)

@@ -3,22 +3,17 @@
 The production generators in :mod:`repro.graph.generators` and
 :mod:`repro.graph.lfr` are batched NumPy implementations sized for the
 paper's massive instances (§V-H). The per-node/per-edge loop versions they
-replaced live on here, unchanged, for two reasons:
-
-1. **A/B benchmarking** — ``repro.bench.wallclock``'s scale suite times the
-   loop baseline against the vectorized path on the same parameters
-   (interleaved), which is how the generation-throughput claims in
-   ``BENCH_scale.json`` are measured.
-2. **Distributional regression tests** — the generators' contracts (degree
-   moments, mixing parameter, clustering) are asserted against *both*
-   implementations, pinning the vectorized rewrites to the distributions
-   the loop versions defined.
+replaced live on here, unchanged, as the references of the distributional
+regression tests: the generators' contracts (degree moments, mixing
+parameter, clustering) are asserted against *both* implementations in
+``tests/graph/test_generator_contracts.py``, pinning the vectorized
+rewrites to the distributions the loop versions defined.
 
 The vectorized rewrites consume their RNG streams in a different order, so
 same-seed outputs differ between the two implementations; only the
-distributions match. ``rmat_loop`` is the scalar quadrant-descent baseline
-(one Python-level RNG draw per level per edge) corresponding to the
-vectorized bit-sampling in :func:`repro.graph.generators.rmat`.
+distributions match. ``rmat_sample_loop`` is the scalar quadrant-descent
+sampler (one Python-level RNG draw per level per edge) corresponding to
+the vectorized bit-sampling in :func:`repro.graph.generators.rmat`.
 """
 
 from __future__ import annotations
@@ -27,11 +22,9 @@ import numpy as np
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.csr import Graph
-from repro.graph.generators import PAPER_RMAT
 
 __all__ = [
     "rmat_sample_loop",
-    "rmat_loop",
     "barabasi_albert_loop",
     "holme_kim_loop",
     "copying_model_loop",
@@ -51,8 +44,7 @@ def rmat_sample_loop(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar R-MAT endpoint sampling: one Python RNG draw per level per edge.
 
-    This is the loop side of the scale suite's generation A/B — the direct
-    counterpart of :func:`repro.graph.generators._rmat_sample`.
+    The direct counterpart of :func:`repro.graph.generators._rmat_sample`.
     """
     us = np.empty(m, dtype=np.int64)
     vs = np.empty(m, dtype=np.int64)
@@ -77,37 +69,6 @@ def rmat_sample_loop(
         us[e] = u
         vs[e] = v
     return us, vs
-
-
-def rmat_loop(
-    scale: int,
-    edge_factor: int,
-    a: float = PAPER_RMAT[0],
-    b: float = PAPER_RMAT[1],
-    c: float = PAPER_RMAT[2],
-    d: float = PAPER_RMAT[3],
-    seed: int = 0,
-    name: str = "",
-    limit: int | None = None,
-) -> Graph:
-    """Scalar R-MAT: per-edge recursive quadrant descent in Python.
-
-    ``limit`` caps the number of sampled edges (the scale-suite A/B times
-    the loop on a capped sample and extrapolates edges/s — per-edge cost
-    is independent of the total edge count).
-    """
-    if not np.isclose(a + b + c + d, 1.0):
-        raise ValueError("R-MAT probabilities must sum to 1")
-    rng = np.random.default_rng(seed)
-    n = 1 << scale
-    m = n * edge_factor
-    if limit is not None:
-        m = min(m, int(limit))
-    us, vs = rmat_sample_loop(rng, scale, m, a, b, c, d)
-    keep = us != vs
-    builder = GraphBuilder(n)
-    builder.add_edges(us[keep], vs[keep])
-    return builder.build(name=name or f"rmat-loop-{scale}-{edge_factor}")
 
 
 def barabasi_albert_loop(

@@ -69,6 +69,8 @@ __all__ = [
     "materialize",
     "attach_graph_uncached",
     "shutdown_all",
+    "reset_peak_rss",
+    "peak_rss_mb",
 ]
 
 #: Environment variable that sets the default worker count (CI uses it to
@@ -803,3 +805,31 @@ def shutdown_all() -> None:
 
 
 atexit.register(shutdown_all)
+
+
+def reset_peak_rss(pid: int | str = "self") -> None:
+    """Reset a process's peak RSS (VmHWM) to its current RSS.
+
+    Linux only, a no-op elsewhere. ``pid`` may name another process of
+    the same user, such as a pool worker.
+    """
+    try:
+        with open(f"/proc/{pid}/clear_refs", "w") as fh:
+            fh.write("5")
+    except OSError:
+        pass
+
+
+def peak_rss_mb(pid: int | str = "self") -> float | None:
+    """A process's peak RSS (VmHWM) since its last reset, in MiB to 0.1.
+
+    ``None`` where ``/proc`` is unavailable.
+    """
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except OSError:
+        pass
+    return None

@@ -475,6 +475,7 @@ class ParallelRuntime:
         busy = [0.0] * p
         disp = [0.0] * p
         pending: list[tuple[float, int, Any, tuple[int, int]]] = []
+        pending_end = 0.0  # latest end pushed to ``pending``
         seq = 0
         blocks_run = 0
         lag_sum = 0.0
@@ -554,10 +555,13 @@ class ParallelRuntime:
                         rc.clear_block()
             # Stale-commit lag: writes still in flight at kernel-read time
             # land later; the gap to the latest of them is how stale this
-            # block's view of the shared state is.
+            # block's view of the shared state is. Starts pop in
+            # non-decreasing order, so every commit popped so far ended at
+            # or before ``start`` and every pending one after it: the
+            # latest end ever pushed is the latest pending end.
             block_lag = 0.0
             if pending:
-                block_lag = max(entry[0] for entry in pending) - start
+                block_lag = pending_end - start
                 lag_sum += block_lag
                 lag_max = max(lag_max, block_lag)
                 lag_blocks += 1
@@ -574,6 +578,7 @@ class ParallelRuntime:
             disp[t] += block_dispatch
             blocks_run += 1
             heapq.heappush(pending, (end, seq, update, key))
+            pending_end = max(pending_end, end)
             seq += 1
             heapq.heappush(ready, (next_start(t, end), t))
             if capture:

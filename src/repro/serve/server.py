@@ -264,7 +264,7 @@ class DetectionServer:
             return await self.queue.submit(
                 self._field(message, "graph"),
                 self._field(message, "algorithm", "plm"),
-                self._field(message, "params", {}),
+                self._params(message),
                 self._field(message, "seed", 0),
                 timeout=self._field(message, "timeout", None),
             )
@@ -285,9 +285,13 @@ class DetectionServer:
         """
         graph_id = self._field(message, "graph")
         algorithms = message.get("algorithms") or ["plp", "plm"]
-        if not isinstance(algorithms, list) or not algorithms:
-            raise ProtocolError("compare needs a non-empty 'algorithms' list")
-        params = self._field(message, "params", {})
+        if not isinstance(algorithms, list) or not all(
+            isinstance(name, str) for name in algorithms
+        ):
+            raise ProtocolError(
+                "compare needs a non-empty 'algorithms' list of strings"
+            )
+        params = self._params(message)
         seed = self._field(message, "seed", 0)
         timeout = self._field(message, "timeout", None)
         payloads = await asyncio.gather(
@@ -347,6 +351,14 @@ class DetectionServer:
                 f"field {key!r} must be {kind}, not {type(value).__name__}"
             )
         return value
+
+    def _params(self, message: dict) -> dict[str, Any]:
+        """The request's ``params`` object, whose ``seed`` follows the
+        rule of the top-level one: an integer, and null means absent."""
+        params = dict(self._field(message, "params", {}))
+        if self._field(params, "seed", None) is None:
+            params.pop("seed", None)
+        return params
 
     @staticmethod
     async def _in_executor(fn, *args):

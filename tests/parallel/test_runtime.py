@@ -236,6 +236,29 @@ class TestExecutorInvariants:
         assert stats.stale_lag_max > 0.0
         assert stats.stale_blocks > 0
 
+    @pytest.mark.parametrize("schedule", ["static", "dynamic", "guided"])
+    def test_stale_lag_is_latest_pending_end(self, schedule):
+        """A block's stale lag is the latest end among the blocks run
+        before it that end after its start, minus its start; the loop
+        totals aggregate exactly those lags, in run order."""
+        tracer = Tracer()
+        rt = ParallelRuntime(threads=8, tracer=tracer)
+        costs = np.tile([1.0, 25.0, 5.0, 80.0, 3.0], 120)
+        stats = rt.parallel_for(
+            np.arange(costs.size), lambda c: None, costs=costs, grain=7,
+            schedule=schedule,
+        )
+        events = tracer.events
+        lags = []
+        for i, block in enumerate(events):
+            ends = [e.end for e in events[:i] if e.end > block.start]
+            lags.append(max(ends) - block.start if ends else 0.0)
+        assert [e.stale_lag for e in events] == lags
+        stale = [lag for lag in lags if lag > 0.0]
+        assert stats.stale_blocks == len(stale) > 0
+        assert stats.stale_lag_sum == sum(stale)
+        assert stats.stale_lag_max == max(stale)
+
 
 class TestReportSince:
     def test_report_contains_loops_and_tree(self):

@@ -141,6 +141,13 @@ HOSTILE = [
     ("path not a string", "load", {"graph": "h", "path": 3}),
     ("compare seed not an integer", "compare",
      {"graph": "g", "algorithms": ["plp"], "seed": "1"}),
+    ("compare algorithm a list", "compare", {"graph": "g", "algorithms": [["plp"]]}),
+    ("compare algorithm an object", "compare", {"graph": "g", "algorithms": [{}]}),
+    ("params seed a list", "detect", {"graph": "g", "params": {"seed": [1]}}),
+    ("params seed a string", "detect", {"graph": "g", "params": {"seed": "1"}}),
+    ("params seed a boolean", "detect", {"graph": "g", "params": {"seed": True}}),
+    ("compare params seed a string", "compare",
+     {"graph": "g", "algorithms": ["plp"], "params": {"seed": "1"}}),
 ]
 
 
@@ -155,6 +162,15 @@ def test_hostile_requests_get_structured_errors(server, name, op, fields):
     # The server stays up for the next connection.
     with ServeClient(socket_path=server.address) as client:
         assert client.ping()["pong"] is True
+
+
+def test_null_params_seed_means_absent(server):
+    with ServeClient(socket_path=server.address) as client:
+        null = client.request(
+            "detect", graph="g", algorithm="plp", seed=3, params={"seed": None}
+        )
+        plain = client.request("detect", graph="g", algorithm="plp", seed=3)
+    assert null["seed"] == 3 and null["labels"] == plain["labels"]
 
 
 def test_stats_exposes_all_layers(server):
