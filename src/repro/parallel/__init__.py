@@ -6,15 +6,15 @@ so real thread scaling is unmeasurable; instead, every parallel loop in this
 library runs through :class:`ParallelRuntime.parallel_for`, which
 
 * splits the iteration space into chunks per an OpenMP-style schedule
-  (``static`` / ``dynamic`` / ``guided``),
-* *actually executes* the chunk kernels, in the interleaving a real
-  machine would produce (event-driven simulation of per-thread clocks), with
-  shared-state updates committed at each chunk's simulated completion time —
-  so kernels genuinely observe stale data exactly when concurrent chunks
-  would still be in flight, and
-* charges per-chunk costs to simulated threads, yielding a deterministic
-  simulated wall-clock (makespan + dispatch + barrier overheads) under a
-  configurable machine model with turbo frequency scaling and SMT.
+  (``static`` / ``dynamic`` / ``guided``), and the chunks into blocks,
+* plans the blocks' timeline on simulated threads from per-block costs,
+  yielding a deterministic simulated wall-clock (makespan + dispatch +
+  barrier overheads) under a configurable machine model with turbo
+  frequency scaling and SMT, and
+* *actually executes* the block kernels in that interleaving, with
+  shared-state updates committed at each block's simulated completion
+  time — so kernels genuinely observe stale data exactly when concurrent
+  blocks would still be in flight.
 
 See DESIGN.md §1 for why this substitution preserves the paper's scaling
 and staleness phenomenology.
@@ -47,14 +47,13 @@ from repro.parallel.racecheck import (
     verify_schedule_independence,
 )
 from repro.parallel.scheduling import (
-    Chunk,
     Schedule,
     static_schedule,
     dynamic_schedule,
     guided_schedule,
     make_schedule,
 )
-from repro.parallel.runtime import ParallelRuntime, ParallelForStats
+from repro.parallel.runtime import ParallelRuntime
 from repro.parallel.metrics import TimingReport, ScalingPoint, strong_scaling_table
 from repro.parallel.tracing import (
     BlockEvent,
@@ -103,14 +102,12 @@ __all__ = [
     "canonical_labels",
     "racecheck_enabled",
     "verify_schedule_independence",
-    "Chunk",
     "Schedule",
     "static_schedule",
     "dynamic_schedule",
     "guided_schedule",
     "make_schedule",
     "ParallelRuntime",
-    "ParallelForStats",
     "TimingReport",
     "ScalingPoint",
     "strong_scaling_table",

@@ -1,18 +1,22 @@
-"""Event-driven simulated executor for parallel loops.
+"""Simulated executor for parallel loops: plan the timeline, then replay it.
 
 :class:`ParallelRuntime` plays the role OpenMP plays in the paper's C++
 framework: algorithms express node/edge loops as ``parallel_for`` calls and
-the runtime decides chunking, interleaving, and cost. Execution is a
-discrete-event simulation of per-thread clocks:
+the runtime decides chunking, interleaving, and cost. Each loop runs in
+two steps:
 
-* chunks are dispatched to simulated threads per the schedule,
-* a chunk's *kernel* runs against the shared state and returns an update,
-* the update is **committed at the chunk's simulated completion time** —
-  so a kernel whose chunk starts while other chunks are still in flight
-  does not see their writes. This reproduces the paper's benign races
-  (stale labels in PLP, stale community volumes in PLM) mechanically:
-  with 1 thread the execution is exactly sequential-asynchronous, with
-  ``p`` threads roughly ``p`` chunks are mutually invisible at any time.
+* :func:`plan_blocks` simulates per-thread clocks before any kernel runs.
+  A block's duration depends only on its items' costs, so the whole
+  timeline (which block runs when, on which thread) follows from costs,
+  schedule, grain, machine and chunk order alone.
+* :func:`replay_blocks` runs each block's *kernel* against the shared
+  state in that order and **commits its update at the block's simulated
+  end time**, so a kernel that starts while other blocks are still in
+  flight does not see their writes. This reproduces the paper's benign
+  races (stale labels in PLP, stale community volumes in PLM)
+  mechanically: with 1 thread the execution is exactly
+  sequential-asynchronous, with ``p`` threads roughly ``p`` blocks are
+  mutually invisible at any time.
 
 Simulated time accumulates on the runtime and is read via
 :attr:`ParallelRuntime.elapsed`; named sections give per-phase breakdowns.
@@ -32,8 +36,8 @@ import heapq
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -50,59 +54,142 @@ from repro.parallel.tracing import (
     build_section_tree,
 )
 
-__all__ = ["ParallelRuntime", "ParallelForStats", "RuntimeSnapshot"]
+__all__ = [
+    "BlockPlan",
+    "ParallelRuntime",
+    "RuntimeSnapshot",
+    "plan_blocks",
+    "replay_blocks",
+]
 
 Kernel = Callable[[np.ndarray], Any]
 Commit = Callable[[Any], None]
 
 
-@dataclass(frozen=True)
-class ParallelForStats:
-    """Outcome of one simulated parallel loop.
+class BlockPlan(NamedTuple):
+    """The simulated timeline of one loop: one entry per block, in run
+    order (sorted by ``(start, thread)``)."""
 
-    ``busy`` and ``dispatch`` are per-thread kernel time and per-thread
-    dispatch overhead; a thread's simulated clock at loop end is exactly
-    ``busy[t] + dispatch[t]`` (threads never wait mid-loop), so
-    ``elapsed == max(busy[t] + dispatch[t]) + barrier`` — the accounting
-    invariant the executor tests assert.
+    lo: np.ndarray  #: first item of the block
+    hi: np.ndarray  #: one past its last item
+    chunk: np.ndarray  #: index of the owning chunk in the schedule
+    thread: np.ndarray  #: simulated thread that runs it
+    start: np.ndarray  #: sim time its kernel reads the shared state
+    end: np.ndarray  #: sim time its update commits
+    duration: np.ndarray  #: kernel time, ``costs[lo:hi].sum() / rate``
+    dispatch: np.ndarray  #: overhead paid just before it (chunk heads only)
+
+
+def plan_blocks(
+    schedule: Schedule,
+    costs: np.ndarray,
+    threads: int,
+    grain: int,
+    rate: float,
+    dispatch: float,
+    order: np.ndarray | None = None,
+) -> BlockPlan:
+    """Simulate one loop's per-thread clocks without running a kernel.
+
+    Every chunk is cut into ``grain``-item blocks. A thread that frees up
+    takes its next chunk (static: its own, else the shared queue's head in
+    ``order``, by default the schedule's order), pays ``dispatch`` once,
+    then runs the chunk's blocks back to back. Threads take chunks in the
+    order of their first block's start; equal starts go to the lower
+    thread id.
     """
+    bounds = schedule.bounds
+    sizes = np.diff(bounds)
+    nblocks = -(-sizes // grain)
+    block_chunk = np.repeat(np.arange(sizes.size), nblocks)
+    first = np.cumsum(nblocks) - nblocks
+    within = np.arange(block_chunk.size) - first[block_chunk]
+    lo = bounds[block_chunk] + within * grain
+    hi = np.minimum(lo + grain, bounds[block_chunk + 1])
+    duration = np.add.reduceat(costs, lo) / rate if lo.size else np.zeros(0)
 
-    elapsed: float
-    chunks: int
-    total_cost: float
-    busy: tuple[float, ...]
-    dispatch: tuple[float, ...] = ()
-    barrier: float = 0.0
-    blocks: int = 0
-    items: int = 0
-    schedule: str = ""
-    memory_bound: float = 0.0
-    stale_lag_sum: float = 0.0
-    stale_lag_max: float = 0.0
-    stale_blocks: int = 0
+    chunk_order = range(sizes.size) if order is None else order.tolist()
+    own: list[deque] = [deque(chunk_order)] * threads  # one shared queue
+    if schedule.owners is not None:
+        own = [deque() for _ in range(threads)]
+        owners = schedule.owners.tolist()
+        for c in chunk_order:
+            own[owners[c]].append(c)
+    first_of, count, dur = first.tolist(), nblocks.tolist(), duration.tolist()
+    ran: list[int] = []  # block ids in the order threads took them
+    on: list[int] = []  # the thread each of them runs on
+    starts: list[float] = []
+    ends: list[float] = []
+    ready = [(float(dispatch), t) for t in range(threads)]
+    while ready:
+        clock, t = heapq.heappop(ready)
+        if not own[t]:
+            continue  # thread idles out
+        c = own[t].popleft()
+        for b in range(first_of[c], first_of[c] + count[c]):
+            ran.append(b)
+            starts.append(clock)
+            clock += dur[b]
+            ends.append(clock)
+        on.extend([t] * count[c])
+        heapq.heappush(ready, (clock + dispatch, t))
 
-    @property
-    def imbalance(self) -> float:
-        """Max thread busy time over mean busy time (1.0 = perfect)."""
-        busy = np.asarray(self.busy)
-        mean = busy.mean()
-        return float(busy.max() / mean) if mean > 0 else 1.0
+    thread, start = np.array(on, dtype=np.int64), np.array(starts)
+    # lexsort is stable: a thread's zero-duration blocks keep their order.
+    run = np.lexsort((thread, start))
+    ids = np.array(ran, dtype=np.int64)[run]
+    return BlockPlan(
+        lo=lo[ids],
+        hi=hi[ids],
+        chunk=block_chunk[ids],
+        thread=thread[run],
+        start=start[run],
+        end=np.array(ends)[run],
+        duration=duration[ids],
+        dispatch=np.where(within[ids] == 0, float(dispatch), 0.0),
+    )
 
-    @property
-    def overhead(self) -> float:
-        """Total dispatch + barrier overhead of the loop."""
-        return float(sum(self.dispatch)) + self.barrier
 
-    @property
-    def overhead_share(self) -> float:
-        """Overhead as a fraction of the loop's thread-seconds."""
-        denom = float(sum(self.busy)) + self.overhead
-        return self.overhead / denom if denom > 0 else 0.0
+def replay_blocks(
+    plan: BlockPlan,
+    items: np.ndarray,
+    kernel: Kernel,
+    commit: Commit | None,
+    racecheck: RaceChecker | None = None,
+) -> None:
+    """Run each planned block's kernel in run order and commit its update.
 
-    @property
-    def stale_lag_mean(self) -> float:
-        """Mean stale-commit lag over blocks (see :mod:`repro.parallel.tracing`)."""
-        return self.stale_lag_sum / self.blocks if self.blocks else 0.0
+    Block ``i``'s update is committed before block ``b``'s kernel runs
+    exactly when ``(end_i, i) < (start_b, b)``; updates still in flight at
+    the end commit at the loop barrier, in ``(end, i)`` order.
+    """
+    n = plan.start.size
+    # One sorted event list: kernel reads (id b) and commits (id n + i),
+    # keyed by (time, block, read-before-commit).
+    events = np.lexsort(
+        (
+            np.repeat([0, 1], n),
+            np.tile(np.arange(n), 2),
+            np.concatenate([plan.start, plan.end]),
+        )
+    )
+    lo, hi, chunk = plan.lo.tolist(), plan.hi.tolist(), plan.chunk.tolist()
+    updates: list[Any] = [None] * n
+    for e in events.tolist():
+        if e < n:
+            if racecheck is not None:
+                racecheck.set_block((chunk[e], e), "kernel")
+            updates[e] = kernel(items[lo[e] : hi[e]])
+        else:
+            e -= n
+            update, updates[e] = updates[e], None
+            if commit is None or update is None:
+                continue
+            if racecheck is not None:
+                racecheck.set_block((chunk[e], e), "commit")
+            commit(update)
+        if racecheck is not None:
+            racecheck.clear_block()
 
 
 @dataclass(frozen=True)
@@ -300,8 +387,8 @@ class ParallelRuntime:
         single turbo-boosted core. ``memory_bound`` applies the machine's
         bandwidth roofline (see :meth:`Machine.effective_rate`).
         """
-        if work_units < 0:
-            raise ValueError("work must be non-negative")
+        if not 0.0 <= work_units < math.inf:
+            raise ValueError("work must be finite and non-negative")
         if parallel:
             rate = (
                 self.machine.effective_rate(self.threads, memory_bound)
@@ -328,13 +415,14 @@ class ParallelRuntime:
         commit: Commit | None = None,
         costs: np.ndarray | None = None,
         schedule: str | None = None,
-        chunk_size: int = 0,
-        min_chunk: int = 1,
         grain: int = 32,
         memory_bound: float = 0.0,
         loop: str | None = None,
-    ) -> ParallelForStats:
+    ) -> LoopRecord:
         """Run ``kernel`` over ``items`` in simulated parallel.
+
+        Returns the loop's :class:`~repro.parallel.tracing.LoopRecord`,
+        which is also appended to :attr:`loop_records`.
 
         Parameters
         ----------
@@ -345,21 +433,14 @@ class ParallelRuntime:
             freely and returns an *update* object describing its writes
             (or ``None``).
         commit:
-            Applies one update to the shared state. Called at the chunk's
+            Applies one update to the shared state. Called at the block's
             simulated completion time. If ``None``, kernels must be pure
             readers (updates are discarded).
         costs:
-            Per-item work units (defaults to 1 per item). For graph kernels
-            pass ``degrees[items] + c``.
+            Per-item work units (defaults to 1 per item); finite and
+            non-negative. For graph kernels pass ``degrees[items] + c``.
         schedule:
             ``static`` / ``dynamic`` / ``guided`` (default: runtime default).
-        chunk_size:
-            Chunk size for ``dynamic`` schedules. Rejected for schedules
-            that would silently ignore it (``static`` / ``guided``).
-        min_chunk:
-            Minimum chunk size for ``guided`` schedules. Rejected for
-            schedules that would silently ignore it (``static`` /
-            ``dynamic``).
         grain:
             Commit granularity in items. A real thread publishes each
             node's update as soon as it is made; chunks are therefore
@@ -386,17 +467,26 @@ class ParallelRuntime:
             costs = np.asarray(costs, dtype=np.float64)
             if costs.shape != (n,):
                 raise ValueError("costs must align with items")
+            if not np.all((costs >= 0) & (costs < np.inf)):
+                raise ValueError("costs must be finite and non-negative")
         kind = schedule or self.default_schedule
-        if chunk_size and kind != "dynamic":
-            raise ValueError(
-                f"chunk_size is only honored by schedule 'dynamic', not {kind!r}"
-            )
-        if min_chunk != 1 and kind != "guided":
-            raise ValueError(
-                f"min_chunk is only honored by schedule 'guided', not {kind!r}"
-            )
-        sched = make_schedule(
-            kind, costs, self.threads, chunk_size=chunk_size, min_chunk=min_chunk
+        sched = make_schedule(kind, n, self.threads)
+        order = None
+        if self.chunk_permutation is not None and sched.chunks > 1:
+            # Perturb dispatch order only: chunk bounds, static owners and
+            # costs are untouched. Seeded per loop so repeated loops see
+            # different-but-reproducible orders.
+            rng = np.random.default_rng((self.chunk_permutation, len(self._loops)))
+            order = rng.permutation(sched.chunks)
+        rate = self.machine.effective_rate(self.threads, memory_bound)
+        plan = plan_blocks(
+            sched,
+            costs,
+            self.threads,
+            max(1, grain),
+            rate,
+            self.machine.dispatch_overhead_s,
+            order,
         )
         label = loop or "parallel_for"
         start_abs = self._trace_offset + self._elapsed
@@ -404,22 +494,30 @@ class ParallelRuntime:
         if rc is not None:
             rc.begin_loop(label)
         try:
-            stats = self._execute(
-                sched,
-                items,
-                costs,
-                kernel,
-                commit,
-                max(1, grain),
-                memory_bound,
-                label=label,
-                kind=kind,
-                start_abs=start_abs,
-            )
+            replay_blocks(plan, items, kernel, commit, rc)
         except BaseException:
             if rc is not None:
                 rc.abort_loop()
             raise
+        # Stale-commit lag: a block whose kernel reads while an earlier
+        # block's update is still in flight lags by the gap to the latest
+        # such end. Earlier blocks ending by its start are committed, so
+        # that latest end is the running maximum of the ends before it.
+        before = np.maximum.accumulate(np.concatenate([[0.0], plan.end]))[:-1]
+        lag = np.where(before > plan.start, before - plan.start, 0.0)
+        if self.tracer is not None and self.tracer.capture_blocks:
+            rows = zip(
+                plan.thread.tolist(),
+                (start_abs + plan.start).tolist(),
+                (start_abs + plan.end).tolist(),
+                (plan.duration * rate).tolist(),
+                (plan.hi - plan.lo).tolist(),
+                plan.chunk.tolist(),
+                plan.dispatch.tolist(),
+                lag.tolist(),
+            )
+            for row in rows:
+                self.tracer.record_block(BlockEvent(label, self.name, kind, *row))
         if rc is not None:
             try:
                 found = rc.end_loop()
@@ -431,200 +529,32 @@ class ParallelRuntime:
             if self.tracer is not None:
                 for c in found:
                     self.tracer.record_conflict(c, start_abs)
-        self._loops.append(
-            LoopRecord(
-                loop=label,
-                runtime=self.name,
-                schedule=kind,
-                threads=self.threads,
-                start=start_abs,
-                elapsed=stats.elapsed,
-                total_cost=stats.total_cost,
-                items=stats.items,
-                chunks=stats.chunks,
-                blocks=stats.blocks,
-                busy=stats.busy,
-                dispatch=stats.dispatch,
-                barrier=stats.barrier,
-                memory_bound=stats.memory_bound,
-                stale_lag_sum=stats.stale_lag_sum,
-                stale_lag_max=stats.stale_lag_max,
-                stale_blocks=stats.stale_blocks,
-            )
-        )
-        self._elapsed += stats.elapsed
-        return stats
-
-    def _execute(
-        self,
-        sched: Schedule,
-        items: np.ndarray,
-        costs: np.ndarray,
-        kernel: Kernel,
-        commit: Commit | None,
-        grain: int,
-        memory_bound: float = 0.0,
-        label: str = "parallel_for",
-        kind: str = "",
-        start_abs: float = 0.0,
-    ) -> ParallelForStats:
+        barrier = self._barrier_cost()
         p = self.threads
-        rate = self.machine.effective_rate(p, memory_bound)
-        dispatch = self.machine.dispatch_overhead_s
-        clocks = [0.0] * p
-        busy = [0.0] * p
-        disp = [0.0] * p
-        pending: list[tuple[float, int, Any, tuple[int, int]]] = []
-        pending_end = 0.0  # latest end pushed to ``pending``
-        seq = 0
-        blocks_run = 0
-        lag_sum = 0.0
-        lag_max = 0.0
-        lag_blocks = 0
-        tracer = self.tracer
-        capture = tracer is not None and tracer.capture_blocks
-        rc = self.racecheck
-
-        # Per-thread state: the block queue of the chunk a thread currently
-        # owns. Threads acquire chunks (static: from their own queue,
-        # dynamic/guided: from the shared queue) when their block queue
-        # drains.
-        numbered = list(enumerate(sched.chunks))
-        if self.chunk_permutation is not None and len(numbered) > 1:
-            # Perturb dispatch order only: chunk boundaries, thread
-            # affinities (static), and costs are untouched. Seeded per
-            # loop so repeated loops see different-but-reproducible orders.
-            perm_rng = np.random.default_rng(
-                (self.chunk_permutation, len(self._loops))
-            )
-            numbered = [numbered[i] for i in perm_rng.permutation(len(numbered))]
-        if sched.is_static:
-            own: list[deque] = [deque() for _ in range(p)]
-            for ci, chunk in numbered:
-                own[chunk.thread % p].append((ci, chunk))
-            shared: deque = deque()
-        else:
-            own = [deque() for _ in range(p)]
-            shared = deque(numbered)
-
-        blocks: list[deque] = [deque() for _ in range(p)]
-
-        def acquire(t: int) -> bool:
-            """Give thread ``t`` its next chunk, split into grain blocks."""
-            if own[t]:
-                ci, chunk = own[t].popleft()
-            elif shared:
-                ci, chunk = shared.popleft()
-            else:
-                return False
-            for lo in range(chunk.start, chunk.stop, grain):
-                hi = min(lo + grain, chunk.stop)
-                blocks[t].append((lo, hi, lo == chunk.start, ci))
-            return True
-
-        def next_start(t: int, clock: float) -> float:
-            """Sim time thread ``t``'s next block would start at.
-
-            Chunk-head blocks pay dispatch; an empty block queue means the
-            thread acquires a fresh chunk next, whose head also pays it.
-            """
-            if blocks[t] and not blocks[t][0][2]:
-                return clock
-            return clock + dispatch
-
-        # Event loop keyed by each thread's next block *start* (not its
-        # clock): dispatch overhead makes starts non-monotone in clock, and
-        # commits must become visible in start order for every kernel to
-        # see exactly the writes that committed before it read.
-        ready = [(next_start(t, 0.0), t) for t in range(p)]
-        heapq.heapify(ready)
-        while ready:
-            start, t = heapq.heappop(ready)
-            if not blocks[t] and not acquire(t):
-                continue  # thread idles out
-            lo, hi, first, ci = blocks[t].popleft()
-            block_dispatch = dispatch if first else 0.0
-            # Make all writes from blocks that finished by `start` visible.
-            while pending and pending[0][0] <= start:
-                _, _, update, ckey = heapq.heappop(pending)
-                if commit is not None and update is not None:
-                    if rc is not None:
-                        rc.set_block(ckey, "commit")
-                    commit(update)
-                    if rc is not None:
-                        rc.clear_block()
-            # Stale-commit lag: writes still in flight at kernel-read time
-            # land later; the gap to the latest of them is how stale this
-            # block's view of the shared state is. Starts pop in
-            # non-decreasing order, so every commit popped so far ended at
-            # or before ``start`` and every pending one after it: the
-            # latest end ever pushed is the latest pending end.
-            block_lag = 0.0
-            if pending:
-                block_lag = pending_end - start
-                lag_sum += block_lag
-                lag_max = max(lag_max, block_lag)
-                lag_blocks += 1
-            key = (ci, blocks_run)
-            if rc is not None:
-                rc.set_block(key, "kernel")
-            update = kernel(items[lo:hi])
-            if rc is not None:
-                rc.clear_block()
-            duration = float(costs[lo:hi].sum()) / rate
-            end = start + duration
-            clocks[t] = end
-            busy[t] += duration
-            disp[t] += block_dispatch
-            blocks_run += 1
-            heapq.heappush(pending, (end, seq, update, key))
-            pending_end = max(pending_end, end)
-            seq += 1
-            heapq.heappush(ready, (next_start(t, end), t))
-            if capture:
-                tracer.record_block(
-                    BlockEvent(
-                        loop=label,
-                        runtime=self.name,
-                        schedule=kind,
-                        thread=t,
-                        start=start_abs + start,
-                        end=start_abs + end,
-                        cost=duration * rate,
-                        items=hi - lo,
-                        chunk=ci,
-                        dispatch=block_dispatch,
-                        stale_lag=block_lag,
-                    )
-                )
-
-        # Loop barrier: drain remaining commits in completion order.
-        while pending:
-            _, _, update, ckey = heapq.heappop(pending)
-            if commit is not None and update is not None:
-                if rc is not None:
-                    rc.set_block(ckey, "commit")
-                commit(update)
-                if rc is not None:
-                    rc.clear_block()
-
-        barrier = self._barrier_cost() if clocks else 0.0
-        elapsed = max(clocks) + barrier if clocks else 0.0
-        return ParallelForStats(
-            elapsed=elapsed,
-            chunks=len(sched.chunks),
-            total_cost=sched.total_cost(),
-            busy=tuple(busy),
-            dispatch=tuple(disp),
-            barrier=barrier,
-            blocks=blocks_run,
-            items=int(items.size),
+        record = LoopRecord(
+            loop=label,
+            runtime=self.name,
             schedule=kind,
+            threads=p,
+            start=start_abs,
+            elapsed=float(plan.end.max(initial=0.0)) + barrier,
+            total_cost=float(costs.sum()),
+            items=n,
+            chunks=sched.chunks,
+            blocks=lag.size,
+            # bincount and cumsum add in run order, like the thread clocks;
+            # sum() is compensated from Python 3.12 on and rounds otherwise.
+            busy=tuple(np.bincount(plan.thread, plan.duration, p).tolist()),
+            dispatch=tuple(np.bincount(plan.thread, plan.dispatch, p).tolist()),
+            barrier=barrier,
             memory_bound=memory_bound,
-            stale_lag_sum=lag_sum,
-            stale_lag_max=lag_max,
-            stale_blocks=lag_blocks,
+            stale_lag_sum=float(np.cumsum(lag)[-1]) if lag.size else 0.0,
+            stale_lag_max=float(lag.max(initial=0.0)),
+            stale_blocks=int(np.count_nonzero(lag)),
         )
+        self._loops.append(record)
+        self._elapsed += record.elapsed
+        return record
 
     # ------------------------------------------------------------------
     # Nested parallelism (EPP's concurrent base-algorithm ensemble)

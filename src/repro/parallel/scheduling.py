@@ -1,21 +1,21 @@
 """OpenMP-style loop schedules: static, dynamic, guided.
 
-A schedule turns an iteration space (plus optional per-item costs) into
-chunks. ``static`` pre-assigns contiguous blocks to threads; ``dynamic``
-and ``guided`` produce a shared queue that simulated threads drain, with
-``guided`` shrinking chunk sizes geometrically — the paper's choice
-(``schedule(guided)``) for skew-tolerant load balancing on scale-free
-graphs.
+A schedule cuts an iteration space of ``n`` items into contiguous chunks.
+As in OpenMP, the chunk bounds depend only on the schedule kind, ``n``
+and the thread count, never on per-item costs. ``static`` pre-assigns
+contiguous blocks to threads; ``dynamic`` and ``guided`` produce a shared
+queue that simulated threads drain, with ``guided`` shrinking chunk sizes
+geometrically — the paper's choice (``schedule(guided)``) for
+skew-tolerant load balancing on scale-free graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Chunk",
     "Schedule",
     "static_schedule",
     "dynamic_schedule",
@@ -25,119 +25,67 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Chunk:
-    """A contiguous block of the iteration space.
+class Schedule:
+    """The chunks of one loop, plus their owner threads if static.
 
-    Attributes
-    ----------
-    start, stop:
-        Half-open index range into the loop's item array.
-    cost:
-        Total simulated work units of the chunk.
-    thread:
-        Pre-assigned thread id for static schedules; ``-1`` means the chunk
-        sits in the shared queue and goes to whichever simulated thread is
-        free first.
+    Chunk ``c`` covers the half-open item range
+    ``[bounds[c], bounds[c + 1])``; the chunks tile ``[0, n)`` in order.
+    ``owners[c]`` is the thread a ``static`` schedule pre-assigns chunk
+    ``c`` to; ``None`` means the chunks sit in a shared queue and each
+    goes to whichever simulated thread is free first.
     """
 
-    start: int
-    stop: int
-    cost: float
-    thread: int = -1
-
-    @property
-    def size(self) -> int:
-        """Number of loop items the chunk covers."""
-        return self.stop - self.start
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A fully materialized schedule: ordered chunks + queue discipline."""
-
     kind: str
-    chunks: tuple[Chunk, ...]
-    threads: int
+    bounds: np.ndarray
+    owners: np.ndarray | None = None
 
     @property
-    def is_static(self) -> bool:
-        """Whether chunks carry fixed thread assignments (static schedule)."""
-        return self.kind == "static"
-
-    def total_cost(self) -> float:
-        """Summed work units over all chunks of the schedule."""
-        return sum(c.cost for c in self.chunks)
+    def chunks(self) -> int:
+        """Number of chunks."""
+        return self.bounds.size - 1
 
 
-def _chunk_costs(costs: np.ndarray, start: int, stop: int) -> float:
-    return float(costs[start:stop].sum())
-
-
-def static_schedule(costs: np.ndarray, threads: int) -> Schedule:
+def static_schedule(n: int, threads: int) -> Schedule:
     """Contiguous equal-count blocks, one per thread (OpenMP default).
 
     Load imbalance arises whenever per-item costs are skewed — the
     motivating failure mode for guided scheduling on power-law graphs.
+    With more threads than items some threads get no block; the others
+    keep their ids.
     """
-    n = costs.size
-    threads = max(1, threads)
-    bounds = np.linspace(0, n, threads + 1).astype(np.int64)
-    chunks = [
-        Chunk(int(lo), int(hi), _chunk_costs(costs, int(lo), int(hi)), thread=t)
-        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-        if hi > lo
-    ]
-    return Schedule("static", tuple(chunks), threads)
+    edges = np.linspace(0, n, max(1, threads) + 1).astype(np.int64)
+    owners = np.flatnonzero(edges[1:] > edges[:-1])
+    return Schedule("static", np.append(edges[owners], n), owners)
 
 
-def dynamic_schedule(costs: np.ndarray, threads: int, chunk_size: int = 0) -> Schedule:
-    """Fixed-size chunks in a shared queue (OpenMP ``schedule(dynamic,k)``).
-
-    ``chunk_size=0`` picks ``max(1, n // (threads * 16))``.
-    """
-    n = costs.size
-    threads = max(1, threads)
-    if chunk_size <= 0:
-        chunk_size = max(1, n // (threads * 16))
-    chunks = []
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        chunks.append(Chunk(lo, hi, _chunk_costs(costs, lo, hi)))
-    return Schedule("dynamic", tuple(chunks), threads)
+def dynamic_schedule(n: int, threads: int) -> Schedule:
+    """Fixed-size chunks of ``max(1, n // (16 * threads))`` items in a
+    shared queue (OpenMP ``schedule(dynamic, k)``)."""
+    size = max(1, n // (max(1, threads) * 16))
+    return Schedule("dynamic", np.append(np.arange(0, n, size), n))
 
 
-def guided_schedule(costs: np.ndarray, threads: int, min_chunk: int = 1) -> Schedule:
+def guided_schedule(n: int, threads: int) -> Schedule:
     """Geometrically shrinking chunks (OpenMP ``schedule(guided)``).
 
-    Each chunk takes ``ceil(remaining / threads)`` items (never fewer than
-    ``min_chunk``), so early chunks are large (low dispatch overhead) and
-    late chunks are small (tail balancing) — the paper's preferred schedule
-    for PLP and PLM node loops.
+    Each chunk takes ``ceil(remaining / threads)`` items, so early chunks
+    are large (low dispatch overhead) and late chunks are small (tail
+    balancing) — the paper's preferred schedule for PLP and PLM node loops.
     """
-    n = costs.size
     threads = max(1, threads)
-    chunks = []
-    lo = 0
-    while lo < n:
-        size = max(min_chunk, -(-(n - lo) // threads))
-        hi = min(lo + size, n)
-        chunks.append(Chunk(lo, hi, _chunk_costs(costs, lo, hi)))
-        lo = hi
-    return Schedule("guided", tuple(chunks), threads)
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        bounds.append(lo + -(-(n - lo) // threads))
+    return Schedule("guided", np.array(bounds, dtype=np.int64))
 
 
-def make_schedule(
-    kind: str,
-    costs: np.ndarray,
-    threads: int,
-    chunk_size: int = 0,
-    min_chunk: int = 1,
-) -> Schedule:
+def make_schedule(kind: str, n: int, threads: int) -> Schedule:
     """Dispatch on schedule name (``static`` / ``dynamic`` / ``guided``)."""
     if kind == "static":
-        return static_schedule(costs, threads)
+        return static_schedule(n, threads)
     if kind == "dynamic":
-        return dynamic_schedule(costs, threads, chunk_size=chunk_size)
+        return dynamic_schedule(n, threads)
     if kind == "guided":
-        return guided_schedule(costs, threads, min_chunk=min_chunk)
+        return guided_schedule(n, threads)
     raise ValueError(f"unknown schedule kind: {kind!r}")

@@ -180,7 +180,10 @@ class JobQueue:
         merged.setdefault("seed", int(seed))
         params = canonical_params(merged)  # ValueError on unknown knobs
         seed = int(params["seed"])
-        make_detector(algorithm)  # ValueError on unknown algorithm
+        # Build from the request's own params, before canonicalization
+        # drops host-only knobs and collapses ``shards``: the constructors
+        # reject an unknown algorithm and out-of-range values here.
+        make_detector(algorithm, **merged)
         key = cache_key(graph_id, algorithm, params, seed)
 
         cached = self._cache.get(key)

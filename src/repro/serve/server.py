@@ -21,7 +21,7 @@ import time
 from typing import Any, Callable
 
 from repro.community.backends import kernel_backends
-from repro.community.factory import ALGORITHM_NAMES
+from repro.community.factory import ALGORITHM_NAMES, DEFAULT_PARAMS
 from repro.parallel.backend import resolve_backend, shm_degradation, shutdown_all
 from repro.serve.jobs import JobQueue, JobTimeout, QueueFull
 from repro.serve.protocol import (
@@ -44,6 +44,15 @@ _FIELDS: dict[str, tuple[tuple[type, ...], str]] = {
     "params": ((dict,), "an object"),
     "seed": ((int,), "an integer"),
     "timeout": ((int, float), "a number"),
+    # The detector params (``DEFAULT_PARAMS``); their ranges are checked
+    # by the detector constructors.
+    "threads": ((int,), "an integer"),
+    "gamma": ((int, float), "a number"),
+    "ensemble_size": ((int,), "an integer"),
+    "workers": ((int,), "an integer"),
+    "shards": ((int,), "an integer"),
+    "kernel_backend": ((str,), "a string"),
+    "partitioner": ((str,), "a string"),
 }
 
 #: ``_field`` default marking a field without a default.
@@ -353,11 +362,13 @@ class DetectionServer:
         return value
 
     def _params(self, message: dict) -> dict[str, Any]:
-        """The request's ``params`` object, whose ``seed`` follows the
-        rule of the top-level one: an integer, and null means absent."""
+        """The request's ``params`` object. Every known param follows the
+        rule of the top-level fields: its JSON type is checked, and null
+        means absent. Unknown params are left for the factory to reject."""
         params = dict(self._field(message, "params", {}))
-        if self._field(params, "seed", None) is None:
-            params.pop("seed", None)
+        for key in [key for key in params if key in DEFAULT_PARAMS]:
+            if self._field(params, key, None) is None:
+                del params[key]
         return params
 
     @staticmethod

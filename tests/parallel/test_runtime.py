@@ -1,12 +1,19 @@
 """Tests for the event-driven simulated executor."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from repro.parallel.machine import Machine
-from repro.parallel.runtime import ParallelRuntime
+from repro.parallel.runtime import (
+    BlockPlan,
+    ParallelRuntime,
+    plan_blocks,
+    replay_blocks,
+)
+from repro.parallel.scheduling import make_schedule
 from repro.parallel.tracing import Tracer
 
 FAST_MACHINE = Machine(dispatch_overhead_s=0.0, barrier_overhead_s=0.0)
@@ -28,6 +35,14 @@ class TestTimeAccounting:
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             ParallelRuntime().charge(-1.0)
+
+    @pytest.mark.parametrize("work", [math.nan, math.inf])
+    def test_non_finite_charge_rejected(self, work):
+        """One NaN or infinite charge would poison the clock for good."""
+        rt = ParallelRuntime()
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            rt.charge(work)
+        assert rt.elapsed == 0.0
 
     def test_reset(self):
         rt = ParallelRuntime()
@@ -123,6 +138,16 @@ class TestParallelFor:
         with pytest.raises(ValueError):
             rt.parallel_for(np.arange(10), lambda c: None, costs=np.ones(5))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_costs_rejected(self, bad):
+        rt = ParallelRuntime(threads=4)
+        costs = np.ones(10)
+        costs[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            rt.parallel_for(np.arange(10), lambda c: None, costs=costs)
+        assert rt.elapsed == 0.0
+        assert rt.loop_records == []
+
     def test_empty_items(self):
         rt = ParallelRuntime(threads=4)
         stats = rt.parallel_for(np.empty(0, dtype=int), lambda c: None)
@@ -159,31 +184,6 @@ class TestParallelFor:
             return rt.elapsed, acc
 
         assert run() == run()
-
-
-class TestScheduleKwargValidation:
-    """Schedule kwargs the chosen schedule would silently ignore are errors."""
-
-    def test_chunk_size_requires_dynamic(self):
-        rt = ParallelRuntime(threads=4)
-        for kind in ("static", "guided"):
-            with pytest.raises(ValueError, match="chunk_size"):
-                rt.parallel_for(
-                    np.arange(10), lambda c: None, schedule=kind, chunk_size=4
-                )
-
-    def test_min_chunk_requires_guided(self):
-        rt = ParallelRuntime(threads=4)
-        for kind in ("static", "dynamic"):
-            with pytest.raises(ValueError, match="min_chunk"):
-                rt.parallel_for(
-                    np.arange(10), lambda c: None, schedule=kind, min_chunk=4
-                )
-
-    def test_matching_kwargs_accepted(self):
-        rt = ParallelRuntime(threads=4)
-        rt.parallel_for(np.arange(10), lambda c: None, schedule="dynamic", chunk_size=4)
-        rt.parallel_for(np.arange(10), lambda c: None, schedule="guided", min_chunk=4)
 
 
 class TestExecutorInvariants:
@@ -350,3 +350,116 @@ class TestNestedParallelism:
         rt.join_max(subs, prefix="base")
         assert [r.loop for r in rt.loop_records] == ["sub.loop", "sub.loop"]
         assert all(not s.loop_records for s in subs)
+
+
+def _plan(kind, costs, threads, grain, order=None):
+    costs = np.asarray(costs, dtype=np.float64)
+    sched = make_schedule(kind, costs.size, threads)
+    return plan_blocks(sched, costs, threads, grain, 1.0, 1.0, order)
+
+
+# Hand-computed timelines at rate 1 and dispatch 1: a thread that frees up
+# at clock c starts its next chunk's first block at c + 1. Columns are in
+# run order: (lo, thread, start, end, dispatch) per block.
+PLAN_CASES = {
+    # linspace(0, 3, 5) -> [0, 0, 1, 2, 3]: thread 0 gets no chunk.
+    "static-idle-thread": (
+        ("static", [2, 3, 4], 4, 8, None),
+        [(0, 1, 1, 3, 1), (1, 2, 1, 4, 1), (2, 3, 1, 5, 1)],
+    ),
+    # Thread 1 frees up first (at 2, then 4) and takes chunks 2 and 3.
+    "dynamic-first-free-takes-next": (
+        ("dynamic", [5, 1, 1, 1], 2, 1, None),
+        [(0, 0, 1, 6, 1), (1, 1, 1, 2, 1), (2, 1, 3, 4, 1), (3, 1, 5, 6, 1)],
+    ),
+    # Chunks [0,3) [3,5) [5,6); only a chunk's first block pays dispatch.
+    "guided-dispatch-on-chunk-head": (
+        ("guided", [1, 1, 1, 1, 1, 1], 2, 2, None),
+        [(0, 0, 1, 3, 1), (3, 1, 1, 3, 1), (2, 0, 3, 4, 0), (5, 1, 4, 5, 1)],
+    ),
+    # Both threads free up at 3: thread 0 takes chunk 2, and equal
+    # starts run in thread order.
+    "equal-starts-by-thread-id": (
+        ("dynamic", [2, 2, 1, 1], 2, 1, None),
+        [(0, 0, 1, 3, 1), (1, 1, 1, 3, 1), (2, 0, 4, 5, 1), (3, 1, 4, 5, 1)],
+    ),
+    # Zero-cost blocks end where they start; they keep their item order.
+    "zero-cost-blocks": (
+        ("guided", [0, 0, 1], 1, 1, None),
+        [(0, 0, 1, 1, 1), (1, 0, 1, 1, 0), (2, 0, 1, 2, 0)],
+    ),
+    # Reversed dispatch order: chunk 0 moves from thread 0 to thread 1.
+    "order-permutation": (
+        ("dynamic", [5, 1, 1, 1], 2, 1, [3, 2, 1, 0]),
+        [(3, 0, 1, 2, 1), (2, 1, 1, 2, 1), (1, 0, 3, 4, 1), (0, 1, 3, 8, 1)],
+    ),
+    "empty-loop": (("guided", [], 4, 32, None), []),
+}
+
+
+class TestPlanBlocks:
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_hand_computed_timeline(self, case):
+        (kind, costs, threads, grain, order), rows = PLAN_CASES[case]
+        if order is not None:
+            order = np.array(order)
+        plan = _plan(kind, costs, threads, grain, order)
+        got = list(
+            zip(
+                plan.lo.tolist(),
+                plan.thread.tolist(),
+                plan.start.tolist(),
+                plan.end.tolist(),
+                plan.dispatch.tolist(),
+            )
+        )
+        assert got == rows
+        assert plan.duration.tolist() == [
+            float(np.sum(costs[lo:hi])) for lo, hi in zip(plan.lo, plan.hi)
+        ]
+
+    def test_order_keeps_chunk_bounds_and_durations(self):
+        costs = [5, 1, 1, 1]
+        natural = _plan("dynamic", costs, 2, 1)
+        permuted = _plan("dynamic", costs, 2, 1, np.array([3, 2, 1, 0]))
+
+        def by_chunk(plan):
+            columns = (plan.chunk, plan.lo, plan.hi, plan.duration)
+            return sorted(zip(*(column.tolist() for column in columns)))
+
+        assert by_chunk(natural) == by_chunk(permuted)
+        assert natural.thread.tolist() != permuted.thread.tolist()
+
+
+class TestReplayBlocks:
+    @staticmethod
+    def _replay(starts, ends):
+        n = len(starts)
+        plan = BlockPlan(
+            lo=np.arange(n),
+            hi=np.arange(1, n + 1),
+            chunk=np.arange(n),
+            thread=np.arange(n),
+            start=np.array(starts, dtype=np.float64),
+            end=np.array(ends, dtype=np.float64),
+            duration=np.subtract(ends, starts, dtype=np.float64),
+            dispatch=np.zeros(n),
+        )
+        committed, seen = [], []
+
+        def kernel(chunk):
+            seen.append(list(committed))
+            return int(chunk[0])
+
+        replay_blocks(plan, np.arange(n), kernel, committed.append)
+        return seen, committed
+
+    def test_block_ending_at_start_is_visible(self):
+        seen, committed = self._replay([0.0, 2.0], [2.0, 3.0])
+        assert seen == [[], [0]]
+        assert committed == [0, 1]
+
+    def test_block_ending_later_is_invisible(self):
+        seen, committed = self._replay([0.0, 2.0], [3.0, 2.5])
+        assert seen == [[], []]
+        assert committed == [1, 0]  # the barrier commits in end order

@@ -148,6 +148,23 @@ HOSTILE = [
     ("params seed a boolean", "detect", {"graph": "g", "params": {"seed": True}}),
     ("compare params seed a string", "compare",
      {"graph": "g", "algorithms": ["plp"], "params": {"seed": "1"}}),
+    ("params threads zero", "detect", {"graph": "g", "params": {"threads": 0}}),
+    ("params threads a string", "detect", {"graph": "g", "params": {"threads": "x"}}),
+    ("params threads a list", "detect", {"graph": "g", "params": {"threads": [4]}}),
+    ("params threads a boolean", "detect",
+     {"graph": "g", "params": {"threads": True}}),
+    ("params gamma a string", "detect", {"graph": "g", "params": {"gamma": "hi"}}),
+    ("params gamma negative", "detect", {"graph": "g", "params": {"gamma": -1}}),
+    ("params ensemble_size a string", "detect",
+     {"graph": "g", "algorithm": "epp", "params": {"ensemble_size": "2"}}),
+    ("params ensemble_size zero", "detect",
+     {"graph": "g", "algorithm": "epp", "params": {"ensemble_size": 0}}),
+    ("splp params shards zero", "detect",
+     {"graph": "g", "algorithm": "splp", "params": {"shards": 0}}),
+    ("params kernel_backend a number", "detect",
+     {"graph": "g", "params": {"kernel_backend": 3}}),
+    ("params partitioner a number", "detect",
+     {"graph": "g", "algorithm": "splp", "params": {"partitioner": 5}}),
 ]
 
 
